@@ -150,8 +150,8 @@ impl<P: SchedulePolicy> Bullshark<P> {
 
             // Lines 15-24 (`orderAnchors`): walk back to the last ordered
             // anchor, keeping earlier anchors reachable from later ones.
-            // Each `reachable` is a bitset probe against the DAG's slot
-            // index; the stack buffer is reused across calls.
+            // Each `reachable` is a level walk over the DAG's parent-author
+            // masks; the stack buffer is reused across calls.
             self.anchor_stack.clear();
             self.anchor_stack.push(anchor.clone());
             let mut cur = anchor;

@@ -127,7 +127,7 @@ impl HammerheadPolicy {
     /// active schedule's initial round count: earlier rounds belong to a
     /// closed epoch, which prevents double counting across switches.
     ///
-    /// The edge test reads the DAG's reachability bitset
+    /// The edge test reads the vertex's parent-author mask
     /// ([`Dag::links_to_author`]): one probe instead of a digest scan
     /// over the parent list, and no leader-vertex lookup on the miss path.
     fn accumulate_vote(&mut self, vertex: &Vertex, dag: &Dag) {

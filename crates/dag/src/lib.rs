@@ -7,11 +7,12 @@
 //!
 //! * [`Dag`] — insertion with full structural validation (Algorithm 1's
 //!   `struct vertex` invariants). Vertices are interned into dense `u32`
-//!   slots with index-array adjacency and per-round reachability bitsets;
-//!   the digest map survives only at the boundary;
+//!   slots with index-array adjacency and a per-vertex parent-author
+//!   mask; the digest map survives only at the boundary;
 //! * reachability ([`Dag::reachable`], the paper's `path(v, u)`) — a
-//!   single bitset probe within the lookback window, with
-//!   [`Dag::reachable_bfs`] as the beyond-window fallback and test oracle;
+//!   level walk down the rounds over those masks, exact at any depth and
+//!   allocation-free, with [`testkit::reachable_bfs`] as its test oracle;
+//!   the vote-edge test [`Dag::links_to_author`] is one mask probe;
 //! * causal histories ([`Dag::causal_history`], [`Dag::causal_sub_dag`],
 //!   allocation-free via [`Dag::causal_sub_dag_with`] + [`SubDagScratch`])
 //!   — the sub-DAG a committed anchor orders, emitted in ascending

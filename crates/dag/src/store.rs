@@ -1,13 +1,15 @@
-//! The DAG store: validated insertion, slot-interned indices, bitset
-//! reachability, histories, GC.
+//! The DAG store: validated insertion, slot-interned indices,
+//! level-walk reachability, histories, GC.
 //!
 //! Internally every vertex is *interned*: [`Dag::try_insert`] assigns it a
 //! dense `u32` slot id, adjacency is stored as slot-id arrays, and each
-//! slot carries a per-round committee bitmask of the authors reachable
-//! from it within a bounded lookback window. The digest-keyed map survives
-//! only at the boundary (wire messages identify vertices by digest); every
-//! internal traversal walks integers. See `docs/architecture.md` ("DAG
-//! indexing & complexity") for the complexity table.
+//! slot keeps a committee bitmask of its parents' authors (the author
+//! check of parent validation, kept). Reachability walks those masks
+//! down the per-round author index one level at a time. The digest-keyed
+//! map survives only at the boundary (wire messages identify vertices by
+//! digest); every internal traversal walks integers. See
+//! `docs/architecture.md` ("DAG indexing & complexity") for the
+//! complexity table.
 
 use hh_crypto::Digest;
 use hh_types::{Committee, DigestMap, Round, Stake, TypeError, ValidatorId, Vertex};
@@ -15,12 +17,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Default reachability lookback window, in rounds.
-///
-/// The commit rule's queries descend 2 rounds in the common case and at
-/// most a few epochs during catch-up; anything deeper falls back to the
-/// BFS oracle. 64 rounds keeps the per-vertex index at `64 × ⌈n/64⌉`
-/// words while covering every walk the paper's scenarios produce.
+/// Compatibility shim: the DAG keeps no reachability window. Kept only
+/// for the benchmark crate's layer replay (`perfbench/src/replay.rs`),
+/// with [`Dag::with_reach_window`]; delete both once it calls [`Dag::new`].
 pub const DEFAULT_REACH_WINDOW: usize = 64;
 
 /// Dense per-vertex index assigned at insertion.
@@ -126,11 +125,6 @@ struct VertexSlot {
     /// Stake of the next-round vertices linking here (its *votes*),
     /// maintained at insert time. Powers the O(1) direct-commit check.
     vote_stake: Stake,
-    /// Reachable-author bitsets: row `d` (0-based) covers round
-    /// `round - 1 - d` and holds one bit per committee author whose
-    /// vertex of that round is an ancestor. `window × words` u64s, final
-    /// at insert time (parents always precede children).
-    reach: Box<[u64]>,
 }
 
 /// Per-round slot index: author position → slot id, plus the cached
@@ -214,7 +208,7 @@ impl SubDagScratch {
 /// can attempt this; with certified broadcast it cannot happen).
 ///
 /// Internally vertices are interned into dense slots with index-array
-/// adjacency and per-round reachability bitsets (see the module docs);
+/// adjacency and per-vertex parent-author masks (see the module docs);
 /// digests only matter at the insertion/lookup boundary.
 #[derive(Clone, Debug)]
 pub struct Dag {
@@ -229,24 +223,17 @@ pub struct Dag {
     rounds: BTreeMap<Round, RoundIndex>,
     gc_round: Round,
     equivocations: u64,
-    /// Bitset words per reach row: `⌈n/64⌉`.
+    /// Words per author mask: `⌈n/64⌉`.
     words: usize,
-    /// Reach rows per vertex (lookback rounds).
-    window: usize,
+    /// Parent-author masks, `words` per slot id: one bit per committee
+    /// author with a parent there. Fixed at insert: unlike a slot's
+    /// `parents` they survive GC of the parents' round.
+    masks: Vec<u64>,
 }
 
 impl Dag {
-    /// An empty DAG for `committee`, with the default reachability window.
+    /// An empty DAG for `committee`.
     pub fn new(committee: Committee) -> Self {
-        Self::with_reach_window(committee, DEFAULT_REACH_WINDOW)
-    }
-
-    /// An empty DAG whose per-vertex reachability index covers `window`
-    /// rounds of lookback (clamped to at least 1). Queries descending
-    /// deeper than the window stay correct through the BFS fallback;
-    /// callers that garbage-collect aggressively can shrink the window to
-    /// their `gc_depth` since nothing below the horizon is ever queried.
-    pub fn with_reach_window(committee: Committee, window: usize) -> Self {
         let words = committee.size().div_ceil(64);
         Dag {
             committee,
@@ -257,8 +244,14 @@ impl Dag {
             gc_round: Round(0),
             equivocations: 0,
             words,
-            window: window.max(1),
+            masks: Vec::new(),
         }
+    }
+
+    /// Compatibility shim equal to [`Dag::new`] (`window` is ignored);
+    /// see [`DEFAULT_REACH_WINDOW`].
+    pub fn with_reach_window(committee: Committee, _window: usize) -> Self {
+        Self::new(committee)
     }
 
     /// The committee this DAG validates against.
@@ -266,13 +259,12 @@ impl Dag {
         &self.committee
     }
 
-    /// Rounds of lookback the reachability bitsets cover.
-    pub fn reach_window(&self) -> usize {
-        self.window
-    }
-
     fn slot(&self, id: SlotId) -> &VertexSlot {
         self.slots[id as usize].as_ref().expect("live slot id")
+    }
+
+    fn parent_authors(&self, id: SlotId) -> &[u64] {
+        &self.masks[id as usize * self.words..][..self.words]
     }
 
     fn slot_of(&self, digest: &Digest) -> Option<SlotId> {
@@ -330,6 +322,17 @@ impl Dag {
         }
 
         let mut parent_slots: Vec<SlotId> = Vec::new();
+        // The parents' author mask, stored in `masks` on success: on the
+        // stack for the committee sizes we simulate, heap spill only for
+        // n > 256.
+        let mut seen_small = [0u64; 4];
+        let mut seen_spill: Vec<u64>;
+        let seen_authors: &mut [u64] = if self.words <= seen_small.len() {
+            &mut seen_small[..self.words]
+        } else {
+            seen_spill = vec![0u64; self.words];
+            &mut seen_spill
+        };
         if round == Round(0) {
             if !vertex.parents().is_empty() {
                 return Err(DagError::MalformedParents("genesis vertex with parents"));
@@ -348,16 +351,6 @@ impl Dag {
             // after sync.
             parent_slots.reserve_exact(vertex.parents().len());
             let mut missing = 0usize;
-            // Stack bitset for the committee sizes we actually simulate;
-            // heap spill only for n > 256.
-            let mut seen_small = [0u64; 4];
-            let mut seen_spill: Vec<u64>;
-            let seen_authors: &mut [u64] = if n <= 256 {
-                &mut seen_small
-            } else {
-                seen_spill = vec![0u64; n.div_ceil(64)];
-                &mut seen_spill
-            };
             let mut stake = Stake(0);
             for parent in vertex.parents() {
                 match self.slot_of(parent) {
@@ -372,7 +365,7 @@ impl Dag {
                             });
                         }
                         let idx = pv.vertex.author().index();
-                        if seen_authors[idx / 64] & (1 << (idx % 64)) != 0 {
+                        if has_bit(seen_authors, idx) {
                             return Err(DagError::DuplicateParents);
                         }
                         seen_authors[idx / 64] |= 1 << (idx % 64);
@@ -399,20 +392,6 @@ impl Dag {
             }
         }
 
-        // Build the reach rows: row 0 is the parents' author mask, row d
-        // is the union of the parents' rows d-1 (shifted one round down).
-        let words = self.words;
-        let mut reach = vec![0u64; self.window * words].into_boxed_slice();
-        for &p in &parent_slots {
-            let pslot = self.slot(p);
-            let idx = pslot.vertex.author().index();
-            reach[idx / 64] |= 1 << (idx % 64);
-            let carry = self.window - 1;
-            for (dst, src) in reach[words..].iter_mut().zip(pslot.reach[..carry * words].iter()) {
-                *dst |= *src;
-            }
-        }
-
         // Commit the insert: charge vote stake to the parents, intern the
         // vertex into a (possibly recycled) slot, index it.
         let author_stake = self.committee.stake_of(author);
@@ -420,15 +399,18 @@ impl Dag {
             self.slots[p as usize].as_mut().expect("live slot id").vote_stake += author_stake;
         }
         let digest = vertex.digest();
-        let slot = VertexSlot { vertex, parents: parent_slots, vote_stake: Stake(0), reach };
+        let slot = VertexSlot { vertex, parents: parent_slots, vote_stake: Stake(0) };
         let id = match self.free.pop() {
             Some(id) => {
                 self.slots[id as usize] = Some(slot);
+                let words = self.words;
+                self.masks[id as usize * words..][..words].copy_from_slice(seen_authors);
                 id
             }
             None => {
                 let id = SlotId::try_from(self.slots.len()).expect("slot ids fit u32");
                 self.slots.push(Some(slot));
+                self.masks.extend_from_slice(seen_authors);
                 id
             }
         };
@@ -527,12 +509,13 @@ impl Dag {
     /// The paper's `path(v, u)`: is there a chain of parent edges from
     /// `from` down to `to`?
     ///
-    /// When both endpoints are stored and the descent fits the
-    /// reachability window this is a single bitset probe: `to`'s round
-    /// and author address one bit of `from`'s reach index, and one vertex
-    /// per `(round, author)` (enforced at insertion) makes that bit
-    /// equivalent to the digest comparison the BFS does. Deeper descents
-    /// and foreign vertices fall back to [`Dag::reachable_bfs`].
+    /// A level walk: the frontier starts as `from`'s parent-author mask,
+    /// and each step down one round ORs the masks of the frontier's
+    /// vertices, found through the per-round author index. One vertex per
+    /// `(round, author)` (enforced at insertion) makes `to`'s author bit
+    /// at `to`'s round the answer. Exact at any depth down to the GC
+    /// horizon; O(depth · n · ⌈n/64⌉) word operations, stopping once the
+    /// frontier empties, and allocation-free for n ≤ 256.
     pub fn reachable(&self, from: &Vertex, to: &Vertex) -> bool {
         if from.digest() == to.digest() {
             return true;
@@ -540,74 +523,63 @@ impl Dag {
         if from.round() <= to.round() {
             return false;
         }
-        let depth = (from.round().0 - to.round().0) as usize;
-        if depth <= self.window {
-            if let Some(from_id) = self.slot_of(&from.digest()) {
-                let Some(stored) = self.vertex_by_author(to.round(), to.author()) else {
-                    // No vertex at (round, author): `to` is foreign (or
-                    // GC'd), hence unreachable through stored edges.
-                    return false;
-                };
-                if stored.digest() == to.digest() {
-                    let idx = to.author().index();
-                    let row = (depth - 1) * self.words;
-                    return self.slot(from_id).reach[row + idx / 64] & (1 << (idx % 64)) != 0;
+        let Some(from_id) = self.slot_of(&from.digest()) else {
+            // A foreign `from` (never inserted, e.g. an equivocating
+            // twin) reaches whatever its stored parents reach.
+            return from
+                .parents()
+                .iter()
+                .filter_map(|d| self.get(d))
+                .any(|p| self.reachable(p, to));
+        };
+        // `to` must be the stored vertex of its `(round, author)`: stored
+        // edges only reference stored vertices.
+        if self.vertex_by_author(to.round(), to.author()).map(|v| v.digest()) != Some(to.digest()) {
+            return false;
+        }
+        // Two frontiers of `words` each, on the stack for n ≤ 256.
+        let words = self.words;
+        let mut small = [0u64; 8];
+        let mut spill: Vec<u64>;
+        let buf: &mut [u64] = if 2 * words <= small.len() {
+            &mut small[..2 * words]
+        } else {
+            spill = vec![0u64; 2 * words];
+            &mut spill
+        };
+        let (mut frontier, mut next) = buf.split_at_mut(words);
+        frontier.copy_from_slice(self.parent_authors(from_id));
+        let target = to.author().index();
+        let mut r = from.round().prev();
+        while r > to.round() {
+            let Some(ri) = self.rounds.get(&r) else {
+                return false;
+            };
+            // One round above `to`, the first frontier vertex linking to
+            // `to` decides.
+            let last = r == to.round().next();
+            next.fill(0);
+            for (w, &word) in frontier.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let idx = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let Some(id) = ri.by_author[idx] else { continue };
+                    for (dst, src) in next.iter_mut().zip(self.parent_authors(id)) {
+                        *dst |= *src;
+                    }
+                    if last && has_bit(next, target) {
+                        return true;
+                    }
                 }
-                // `to` equivocates against the stored vertex: edges can
-                // only reference stored parents, so it is unreachable.
+            }
+            if next.iter().all(|&w| w == 0) {
                 return false;
             }
+            std::mem::swap(&mut frontier, &mut next);
+            r = r.prev();
         }
-        self.reachable_bfs(from, to)
-    }
-
-    /// The reachability BFS over the slot adjacency: the window-depth
-    /// fallback of [`Dag::reachable`] and the oracle its bitset fast path
-    /// is property-tested against.
-    ///
-    /// Edges always descend exactly one round, so the search prunes any
-    /// branch that drops below `to`'s round. Vertices pruned by GC are
-    /// treated as dead ends (their history is already ordered).
-    pub fn reachable_bfs(&self, from: &Vertex, to: &Vertex) -> bool {
-        if from.digest() == to.digest() {
-            return true;
-        }
-        if from.round() <= to.round() {
-            return false;
-        }
-        let Some(target) = self.slot_of(&to.digest()) else {
-            return false;
-        };
-        let target_round = to.round();
-        let mut visited = vec![0u64; self.slots.len().div_ceil(64)];
-        let mut work: Vec<SlotId> = Vec::new();
-        // Seed from the parents: `from` itself may be foreign to the DAG.
-        for parent in from.parents() {
-            if let Some(id) = self.slot_of(parent) {
-                if visited[id as usize / 64] & (1 << (id as usize % 64)) == 0 {
-                    visited[id as usize / 64] |= 1 << (id as usize % 64);
-                    work.push(id);
-                }
-            }
-        }
-        while let Some(id) = work.pop() {
-            if id == target {
-                return true;
-            }
-            let slot = self.slot(id);
-            if slot.vertex.round() <= target_round {
-                continue;
-            }
-            for &p in &slot.parents {
-                if self.slot(p).vertex.round() >= target_round
-                    && visited[p as usize / 64] & (1 << (p as usize % 64)) == 0
-                {
-                    visited[p as usize / 64] |= 1 << (p as usize % 64);
-                    work.push(p);
-                }
-            }
-        }
-        false
+        has_bit(frontier, target)
     }
 
     /// Every stored ancestor of `from`, including `from` itself, in
@@ -700,22 +672,21 @@ impl Dag {
     /// authored by `author`. Powers the reputation policy's vote
     /// accounting.
     ///
-    /// For interned vertices this is one probe of the insert-time reach
-    /// index, so the answer never flickers when the linked round is
-    /// later garbage-collected — vote accounting stays independent of
-    /// each validator's local GC timing (a live lookup could answer
-    /// differently on two validators for a vertex ordered right at the
-    /// horizon). Foreign vertices — never produced by the ordering path,
-    /// which only traverses stored vertices — fall back to scanning
-    /// their parent list against the currently stored `(round, author)`
-    /// vertex.
+    /// For interned vertices this is one probe of the insert-time
+    /// parent-author mask, which `gc` leaves alone, so the answer never
+    /// flickers when the linked round is later garbage-collected — vote
+    /// accounting stays independent of each validator's local GC timing
+    /// (a live lookup could answer differently on two validators for a
+    /// vertex ordered right at the horizon). Foreign vertices — never
+    /// produced by the ordering path, which only traverses stored
+    /// vertices — fall back to scanning their parent list against the
+    /// currently stored `(round, author)` vertex.
     pub fn links_to_author(&self, from: &Vertex, author: ValidatorId) -> bool {
         if from.round().0 == 0 {
             return false;
         }
         if let Some(id) = self.slot_of(&from.digest()) {
-            let idx = author.index();
-            return self.slot(id).reach[idx / 64] & (1 << (idx % 64)) != 0;
+            return has_bit(self.parent_authors(id), author.index());
         }
         self.vertex_by_author(from.round().prev(), author)
             .is_some_and(|stored| from.has_parent(&stored.digest()))
@@ -757,10 +728,14 @@ impl Dag {
     }
 }
 
+fn has_bit(mask: &[u64], idx: usize) -> bool {
+    mask[idx / 64] & (1 << (idx % 64)) != 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::DagBuilder;
+    use crate::testkit::{reachable_bfs, DagBuilder};
     use hh_types::Block;
     use std::collections::HashSet;
 
@@ -920,47 +895,75 @@ mod tests {
         builder.extend_full_rounds(1);
         // Round 1: every vertex links to all of round 0 EXCEPT v3's vertex.
         builder.extend_round_excluding(&[ValidatorId(3)]);
+        builder.extend_full_rounds(100);
         let dag = builder.dag();
-        let top = dag.vertex_by_author(Round(1), ValidatorId(0)).unwrap().clone();
         let excluded = dag.vertex_by_author(Round(0), ValidatorId(3)).unwrap().clone();
         let included = dag.vertex_by_author(Round(0), ValidatorId(0)).unwrap().clone();
-        assert!(!dag.reachable(&top, &excluded));
-        assert!(dag.reachable(&top, &included));
+        // Exact at any depth: one round up and a hundred rounds up.
+        for top_round in [1, 101] {
+            let top = dag.vertex_by_author(Round(top_round), ValidatorId(0)).unwrap().clone();
+            assert!(!dag.reachable(&top, &excluded));
+            assert!(dag.reachable(&top, &included));
+        }
     }
 
     #[test]
-    fn bitset_and_bfs_agree_beyond_window() {
-        // A window of 2 forces deep queries onto the BFS fallback; both
-        // paths must answer identically either side of the boundary.
-        let c = committee4();
-        let mut builder = DagBuilder::new(Committee::new_equal_stake(4));
+    fn level_walk_and_bfs_agree_at_full_depth_and_after_gc() {
+        // Round 1 withholds every edge to v3's genesis vertex, so it is
+        // unreachable from everything above, at any depth.
+        let mut builder = DagBuilder::new(committee4());
         builder.extend_full_rounds(1);
         builder.extend_round_excluding(&[ValidatorId(3)]);
-        builder.extend_full_rounds(6);
-        let full = builder.into_dag();
-        let mut windowed = Dag::with_reach_window(c, 2);
-        for r in 0..8u64 {
-            for v in full.round_vertices(Round(r)) {
-                windowed.try_insert((**v).clone()).unwrap();
-            }
-        }
-        for from_r in 0..8u64 {
-            for to_r in 0..8u64 {
-                for from in windowed.round_vertices(Round(from_r)) {
-                    for to in windowed.round_vertices(Round(to_r)) {
-                        assert_eq!(
-                            windowed.reachable(from, to),
-                            windowed.reachable_bfs(from, to),
-                            "window-2 mismatch {from} -> {to}"
-                        );
-                        assert_eq!(
-                            windowed.reachable(from, to),
-                            full.reachable(from, to),
-                            "window size changed the answer {from} -> {to}"
-                        );
-                    }
+        builder.extend_round_without(&[ValidatorId(1)]);
+        builder.extend_full_rounds(5);
+        let mut dag = builder.into_dag();
+        let check_all = |dag: &Dag| {
+            let all: Vec<_> =
+                (dag.gc_round().0..8).flat_map(|r| dag.round_vertices(Round(r))).collect();
+            for from in &all {
+                for to in &all {
+                    assert_eq!(
+                        dag.reachable(from, to),
+                        reachable_bfs(dag, from, to),
+                        "{from} -> {to}"
+                    );
                 }
             }
+        };
+        check_all(&dag);
+        let links = |dag: &Dag| -> Vec<bool> {
+            dag.round_vertices(Round(3))
+                .flat_map(|v| dag.committee().ids().map(|a| dag.links_to_author(v, a)))
+                .collect()
+        };
+        let before = links(&dag);
+        dag.gc(Round(3));
+        check_all(&dag);
+        assert_eq!(links(&dag), before, "vote edges must survive GC of the parents' round");
+    }
+
+    #[test]
+    fn masks_carry_authors_past_the_first_word() {
+        // n = 70, so authors 64..70 live in each mask's second word. Only
+        // v65's round-1 vertex links to v0's genesis vertex; v1's round-2
+        // vertex reaches round 1 through v65, v2's does not.
+        let mut builder = DagBuilder::new(Committee::new_equal_stake(70));
+        builder.extend_full_rounds(1);
+        let all: Vec<ValidatorId> = builder.dag().committee().ids().collect();
+        builder.extend_round_custom(&all, |a| (a != ValidatorId(65)).then(|| vec![ValidatorId(0)]));
+        let high = |keep: Option<u16>| (64..70).filter(move |&i| Some(i) != keep).map(ValidatorId);
+        builder.extend_round_custom(&all, |a| match a.0 {
+            1 => Some(high(Some(65)).collect()),
+            2 => Some(high(None).collect()),
+            _ => None,
+        });
+        builder.extend_full_rounds(1);
+        let dag = builder.dag();
+        let target = dag.vertex_by_author(Round(0), ValidatorId(0)).unwrap();
+        let at = |r: u64, a: u16| dag.vertex_by_author(Round(r), ValidatorId(a)).unwrap();
+        for (from, expected) in [(at(2, 1), true), (at(2, 2), false), (at(3, 0), true)] {
+            assert_eq!(dag.reachable(from, target), expected, "{from}");
+            assert_eq!(reachable_bfs(dag, from, target), expected, "{from}");
         }
     }
 
@@ -1095,7 +1098,7 @@ mod tests {
         let top = dag.vertex_by_author(Round(8), ValidatorId(0)).unwrap().clone();
         let mid = dag.vertex_by_author(Round(4), ValidatorId(2)).unwrap().clone();
         assert!(dag.reachable(&top, &mid));
-        assert_eq!(dag.reachable(&top, &mid), dag.reachable_bfs(&top, &mid));
+        assert_eq!(dag.reachable(&top, &mid), reachable_bfs(&dag, &top, &mid));
         // History bottoms out at the GC horizon (round 3).
         let history = dag.causal_history(&top);
         assert_eq!(history.len(), 6 * 4 - 3, "rounds 3..=8, minus round-8 peers");

@@ -4,11 +4,35 @@
 //! rounds, rounds missing specific authors, rounds whose vertices skip
 //! specific parents (withheld votes). [`DagBuilder`] builds them on top of
 //! the real validation path ([`Dag::try_insert`]), so test DAGs obey
-//! exactly the invariants production DAGs do.
+//! exactly the invariants production DAGs do. [`reachable_bfs`] is the
+//! oracle [`Dag::reachable`] is tested against.
 
 use crate::store::Dag;
 use hh_crypto::{Digest, Keypair};
 use hh_types::{Block, Committee, Round, Transaction, ValidatorId, Vertex};
+use std::collections::{HashSet, VecDeque};
+
+/// The reachability oracle: breadth-first over digests through the
+/// public API, independent of the slot index [`Dag::reachable`] walks.
+/// `from` may be foreign to the DAG; parents collected by GC are dead ends.
+pub fn reachable_bfs(dag: &Dag, from: &Vertex, to: &Vertex) -> bool {
+    if from.digest() == to.digest() {
+        return true;
+    }
+    let mut seen: HashSet<Digest> = HashSet::new();
+    let mut frontier: VecDeque<&Vertex> = VecDeque::from([from]);
+    while let Some(v) = frontier.pop_front() {
+        for parent in v.parents().iter().filter_map(|d| dag.get(d)) {
+            if parent.digest() == to.digest() {
+                return true;
+            }
+            if parent.round() > to.round() && seen.insert(parent.digest()) {
+                frontier.push_back(parent);
+            }
+        }
+    }
+    false
+}
 
 /// Builds the deterministic *twin* of `vertex`: same round, author and
 /// parents, but a different block — hence a different digest — signed

@@ -1,16 +1,18 @@
 //! Property tests pinning the indexed DAG queries to digest-walking
 //! oracles.
 //!
-//! The slot-interned store answers `reachable` with a bitset probe and
-//! `causal_sub_dag` with a level walk over integer adjacency. Both are
-//! checked here against independent implementations that work the way
-//! the pre-index store did — breadth-first over digests through the
-//! public API — on randomized DAGs with skipped authors, withheld
-//! edges, multi-round gaps, GC below the anchor, and equivocation
-//! attempts.
+//! The slot-interned store answers `reachable` with a level walk over
+//! per-vertex parent-author masks, `links_to_author` with a probe of
+//! that mask, and `causal_sub_dag` with a level walk over integer
+//! adjacency. They are checked here against independent implementations
+//! that work the way the pre-index store did — breadth-first over
+//! digests through the public API (`testkit::reachable_bfs` and the
+//! sub-DAG oracle below) — on randomized DAGs with skipped authors,
+//! withheld edges, multi-round gaps, GC below the anchor, and
+//! equivocation attempts.
 
 use hh_crypto::Digest;
-use hh_dag::testkit::DagBuilder;
+use hh_dag::testkit::{reachable_bfs, DagBuilder};
 use hh_dag::Dag;
 use hh_types::{Block, Committee, Round, ValidatorId, Vertex};
 use proptest::prelude::*;
@@ -85,43 +87,6 @@ fn random_dag(n: usize, rounds: usize, seed: u64) -> Dag {
     b.into_dag()
 }
 
-/// The pre-index reachability: BFS over digests through the public API.
-fn reachable_oracle(dag: &Dag, from: &Vertex, to: &Vertex) -> bool {
-    if from.digest() == to.digest() {
-        return true;
-    }
-    if from.round() <= to.round() {
-        return false;
-    }
-    let target_round = to.round();
-    let target = to.digest();
-    let mut frontier: VecDeque<&Arc<Vertex>> = VecDeque::new();
-    let mut seen: HashSet<Digest> = HashSet::new();
-    for parent in from.parents() {
-        if let Some(pv) = dag.get(parent) {
-            if seen.insert(*parent) {
-                frontier.push_back(pv);
-            }
-        }
-    }
-    while let Some(v) = frontier.pop_front() {
-        if v.digest() == target {
-            return true;
-        }
-        if v.round() <= target_round {
-            continue;
-        }
-        for parent in v.parents() {
-            if let Some(pv) = dag.get(parent) {
-                if pv.round() >= target_round && seen.insert(*parent) {
-                    frontier.push_back(pv);
-                }
-            }
-        }
-    }
-    false
-}
-
 /// The pre-index sub-DAG traversal: BFS over digests, then the
 /// deterministic `(round, author)` sort its consumers used to apply.
 fn causal_sub_dag_oracle(
@@ -169,32 +134,26 @@ fn digests(vs: &[Arc<Vertex>]) -> Vec<Digest> {
     vs.iter().map(|v| v.digest()).collect()
 }
 
-/// A window-2 copy of `dag` (same inserts), forcing deep queries onto
-/// the beyond-window fallback path. Must be taken before any GC — a
-/// garbage-collected prefix cannot be re-inserted.
-fn window2_twin(dag: &Dag) -> Dag {
-    let mut windowed = Dag::with_reach_window(dag.committee().clone(), 2);
+/// Every `links_to_author` answer of every stored vertex, in
+/// `(round, author, linked author)` order.
+fn vote_edges(dag: &Dag) -> Vec<(Round, ValidatorId, ValidatorId, bool)> {
+    let mut out = Vec::new();
     for v in all_vertices(dag) {
-        windowed.try_insert((*v).clone()).expect("re-insert into window-2 twin");
+        for a in dag.committee().ids() {
+            out.push((v.round(), v.author(), a, dag.links_to_author(&v, a)));
+        }
     }
-    windowed
+    out
 }
 
 /// Checks every query of `dag` against the oracles, pairwise over all
-/// stored vertices; `windowed` is its window-2 twin run through the same
-/// assertions.
-fn check_dag(dag: &Dag, windowed: &Dag, rng: &mut Mix) {
+/// stored vertices; `reachable` at full depth.
+fn check_dag(dag: &Dag, rng: &mut Mix) {
     let vertices = all_vertices(dag);
-
     for from in &vertices {
         for to in &vertices {
-            let expected = reachable_oracle(dag, from, to);
-            assert_eq!(dag.reachable(from, to), expected, "bitset vs oracle: {from} -> {to}");
-            assert_eq!(
-                windowed.reachable(from, to),
-                expected,
-                "window-2 fallback vs oracle: {from} -> {to}"
-            );
+            let expected = reachable_bfs(dag, from, to);
+            assert_eq!(dag.reachable(from, to), expected, "level walk vs oracle: {from} -> {to}");
         }
     }
 
@@ -230,7 +189,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Randomized shapes: skipped authors, withheld edges, multi-round
-    /// gaps. Bitset `reachable` and the indexed `causal_sub_dag` must
+    /// gaps. Level-walk `reachable` and the indexed `causal_sub_dag` must
     /// match the digest-BFS oracles exactly.
     fn indexed_queries_match_oracles(
         n in 4usize..8,
@@ -238,29 +197,41 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let dag = random_dag(n, rounds, seed);
-        check_dag(&dag, &window2_twin(&dag), &mut Mix(seed ^ 0xDEAD_BEEF));
+        check_dag(&dag, &mut Mix(seed ^ 0xDEAD_BEEF));
     }
 
     /// GC below the anchor retires and recycles slots; every query must
-    /// still match the oracles on the surviving suffix.
+    /// match the oracles at full depth both before and after, and vote
+    /// edges must not flicker when the linked round is collected.
     fn queries_match_oracles_after_gc(
         n in 4usize..8,
         rounds in 5usize..11,
         seed in any::<u64>(),
     ) {
         let mut dag = random_dag(n, rounds, seed);
-        let mut windowed = window2_twin(&dag);
         let mut rng = Mix(seed ^ 0x5EED);
+        check_dag(&dag, &mut rng);
         let horizon = Round(1 + rng.below(rounds as u64 - 2));
+        let edges: Vec<_> =
+            vote_edges(&dag).into_iter().filter(|(r, ..)| *r >= horizon).collect();
+        for &(round, author, linked, answer) in &edges {
+            let v = dag.vertex_by_author(round, author).expect("stored");
+            let scan = round.0 > 0
+                && dag
+                    .vertex_by_author(round.prev(), linked)
+                    .is_some_and(|p| v.has_parent(&p.digest()));
+            prop_assert_eq!(answer, scan, "links_to_author vs parent scan: {} -> {}", v, linked);
+        }
         dag.gc(horizon);
-        windowed.gc(horizon);
         prop_assert_eq!(dag.gc_round(), horizon);
-        check_dag(&dag, &windowed, &mut rng);
+        prop_assert_eq!(vote_edges(&dag), edges, "vote edges changed under gc");
+        check_dag(&dag, &mut rng);
     }
 
     /// Equivocation duplicates are rejected without disturbing the index:
-    /// the stored twin keeps answering exactly like the oracle, and the
-    /// foreign twin is unreachable from everything.
+    /// the stored twin keeps answering exactly like the oracle, the
+    /// foreign twin is unreachable from everything, and queries *from*
+    /// the foreign twin match the oracle.
     fn equivocation_leaves_index_intact(
         n in 4usize..8,
         rounds in 3usize..9,
@@ -294,10 +265,15 @@ proptest! {
             prop_assert!(!dag.reachable(&v, &twin), "foreign twin reachable from {}", v);
             prop_assert_eq!(
                 dag.reachable(&v, &victim),
-                reachable_oracle(&dag, &v, &victim),
+                reachable_bfs(&dag, &v, &victim),
                 "victim query diverged after equivocation attempt"
             );
+            prop_assert_eq!(
+                dag.reachable(&twin, &v),
+                reachable_bfs(&dag, &twin, &v),
+                "query from the foreign twin to {} diverged", v
+            );
         }
-        check_dag(&dag, &window2_twin(&dag), &mut rng);
+        check_dag(&dag, &mut rng);
     }
 }
