@@ -4,9 +4,9 @@
 //! [`Validator`] is a runtime-agnostic state machine: handlers take the
 //! current time in microseconds and return [`Output`]s (messages to send,
 //! timers to arm). The simulation harness (`hh-sim`) adapts it to the
-//! discrete-event network; `hh-net::threaded` can drive the same type on
-//! real threads. The Bullshark baseline and HammerHead are the *same*
-//! node, differing only in [`ScheduleConfig`].
+//! discrete-event network; `hh-node` drives the same type over real TCP.
+//! The Bullshark baseline and HammerHead are the *same* node, differing
+//! only in [`ScheduleConfig`].
 //!
 //! Protocol flow per round `r`:
 //!
@@ -480,8 +480,7 @@ impl<B: LogBackend> Validator<B> {
                 }
             }
             ValidatorMessage::Rbc(rbc_msg) => {
-                let sender = Self::rbc_sender(rbc_msg, from);
-                let fx = self.rbc.handle(sender, rbc_msg, &mut self.dag);
+                let fx = self.rbc.handle(from, rbc_msg, &mut self.dag);
                 self.absorb_rbc(fx, now, &mut out);
             }
             ValidatorMessage::Confirm { .. } => {
@@ -838,21 +837,6 @@ impl<B: LogBackend> Validator<B> {
         self.absorb_rbc(fx, now, out);
         self.next_round = round.next();
         self.last_proposal_at = now;
-    }
-
-    /// The logical sender of an RBC message (used for sync responses). For
-    /// vertex pushes the author is authoritative; for acks and syncs the
-    /// network-level sender is what matters.
-    fn rbc_sender(msg: &RbcMessage, network_from: ValidatorId) -> ValidatorId {
-        match msg {
-            RbcMessage::Vertex(_)
-            | RbcMessage::Propose(_)
-            | RbcMessage::Certified(_, _)
-            | RbcMessage::Ack { .. }
-            | RbcMessage::SyncRequest(_)
-            | RbcMessage::RangeRequest { .. }
-            | RbcMessage::SyncResponse(_) => network_from,
-        }
     }
 }
 

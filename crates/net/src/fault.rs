@@ -18,13 +18,45 @@
 //! already opened. Builder-order accessors ([`FaultPlan::crashes`],
 //! [`FaultPlan::recoveries`]) are preserved verbatim because the simulator
 //! turns them into queue events whose sequence numbers must be stable.
+//!
+//! Scenario files lower straight into a plan, and [`FaultPlan::validate`]
+//! rejects unrunnable timelines before anything runs. The experiment
+//! harness reads the same plan to decide which validators carry persistent
+//! storage ([`FaultPlan::has_recoveries`]) and which count as live for
+//! metrics ([`FaultPlan::live_at`]).
 
 use crate::time::{Duration, SimTime};
 use crate::NodeId;
+use std::fmt;
+
+/// An unrunnable fault or chaos plan: contradictory, outside the
+/// committee, or liveness-destroying. The message names the first
+/// violation found.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PlanError(pub(crate) String);
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+/// Rejects a validator id at or above the committee size.
+pub(crate) fn in_committee(node: NodeId, committee_size: usize) -> Result<(), PlanError> {
+    if node.0 >= committee_size {
+        return Err(PlanError(format!(
+            "validator {} is outside the committee of {committee_size}",
+            node.0
+        )));
+    }
+    Ok(())
+}
 
 /// A per-node slowdown: all messages to and from `node` gain `extra` delay
 /// while the window is active.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlowdownSpec {
     /// The degraded node.
     pub node: NodeId,
@@ -40,7 +72,7 @@ pub struct SlowdownSpec {
 ///
 /// Messages crossing the cut during the window are buffered and delivered
 /// when the partition heals (links stay reliable, per the model in §2.1).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// One side of the cut.
     pub group_a: Vec<NodeId>,
@@ -64,6 +96,17 @@ impl PartitionSpec {
         let b_to = self.group_b.contains(&to);
         (a_from && b_to) || (b_from && a_to)
     }
+
+    /// [`PartitionSpec::severs`] for a plan-held window, whose groups
+    /// are sorted for binary-search membership and whose time bounds the
+    /// caller has already checked.
+    fn severs_sorted(&self, from: NodeId, to: NodeId) -> bool {
+        let a_from = self.group_a.binary_search(&from).is_ok();
+        let b_from = self.group_b.binary_search(&from).is_ok();
+        let a_to = self.group_a.binary_search(&to).is_ok();
+        let b_to = self.group_b.binary_search(&to).is_ok();
+        (a_from && b_to) || (b_from && a_to)
+    }
 }
 
 /// What happened to a node at a point on its crash/recovery timeline.
@@ -77,26 +120,6 @@ enum NodePhase {
     Recover,
 }
 
-/// A partition window indexed for the routing fast path: groups kept
-/// sorted for binary-search membership.
-#[derive(Clone, Debug)]
-struct PartitionWindow {
-    group_a: Vec<NodeId>,
-    group_b: Vec<NodeId>,
-    from: SimTime,
-    until: SimTime,
-}
-
-impl PartitionWindow {
-    fn severs(&self, from: NodeId, to: NodeId) -> bool {
-        let a_from = self.group_a.binary_search(&from).is_ok();
-        let b_from = self.group_b.binary_search(&from).is_ok();
-        let a_to = self.group_a.binary_search(&to).is_ok();
-        let b_to = self.group_b.binary_search(&to).is_ok();
-        (a_from && b_to) || (b_from && a_to)
-    }
-}
-
 /// The full fault schedule for a run.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
@@ -108,7 +131,7 @@ pub struct FaultPlan {
     slowdowns: Vec<SlowdownSpec>,
     /// Partition windows sorted by `from`, groups sorted for membership
     /// tests.
-    partitions: Vec<PartitionWindow>,
+    partitions: Vec<PartitionSpec>,
     /// Per-node crash/recovery timeline sorted by `(node, time, phase)`;
     /// `crashed_at` binary-searches the node's segment.
     timeline: Vec<(NodeId, SimTime, NodePhase)>,
@@ -161,15 +184,30 @@ impl FaultPlan {
 
     /// Adds a partition window.
     #[must_use]
-    pub fn partition(mut self, spec: PartitionSpec) -> Self {
-        let mut group_a = spec.group_a;
-        let mut group_b = spec.group_b;
-        group_a.sort_unstable();
-        group_b.sort_unstable();
-        let window = PartitionWindow { group_a, group_b, from: spec.from, until: spec.until };
-        let pos = self.partitions.partition_point(|p| p.from <= window.from);
-        self.partitions.insert(pos, window);
+    pub fn partition(mut self, mut spec: PartitionSpec) -> Self {
+        spec.group_a.sort_unstable();
+        spec.group_b.sort_unstable();
+        let pos = self.partitions.partition_point(|p| p.from <= spec.from);
+        self.partitions.insert(pos, spec);
         self
+    }
+
+    /// Crashes the *last* `count` of `committee_size` validators from t=0
+    /// (keeps the leader slots of early ids intact, matching "maximum
+    /// tolerable faults" benchmarks).
+    ///
+    /// # Errors
+    ///
+    /// Fails when `count >= committee_size`: crashing everyone (or more
+    /// validators than exist) leaves nothing to measure.
+    pub fn crash_last(committee_size: usize, count: usize) -> Result<Self, PlanError> {
+        if count >= committee_size {
+            return Err(PlanError(format!(
+                "crash_last: crashing the last {count} of {committee_size} validators leaves \
+                 no live validator"
+            )));
+        }
+        Ok(FaultPlan::new().crash_from_start((committee_size - count..committee_size).map(NodeId)))
     }
 
     /// Scheduled crash events, in builder order.
@@ -180,6 +218,47 @@ impl FaultPlan {
     /// Scheduled recovery events, in builder order.
     pub fn recoveries(&self) -> &[(NodeId, SimTime)] {
         &self.recoveries
+    }
+
+    /// Slowdown windows, sorted by start (builder order among equal
+    /// starts).
+    pub fn slowdowns(&self) -> &[SlowdownSpec] {
+        &self.slowdowns
+    }
+
+    /// Partition windows, sorted by start (builder order among equal
+    /// starts), each with both groups sorted.
+    pub fn partitions(&self) -> &[PartitionSpec] {
+        &self.partitions
+    }
+
+    /// Whether the plan injects no fault at all.
+    pub fn is_empty(&self) -> bool {
+        self.crashes.is_empty()
+            && self.recoveries.is_empty()
+            && self.slowdowns.is_empty()
+            && self.partitions.is_empty()
+    }
+
+    /// Whether any recovery is scheduled (such runs get WAL-backed
+    /// validator stores so `on_restart` has state to replay).
+    pub fn has_recoveries(&self) -> bool {
+        !self.recoveries.is_empty()
+    }
+
+    /// Distinct nodes with a crash anywhere on the timeline, ascending
+    /// (the run's fault count).
+    pub fn crashed_nodes(&self) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = self.crashes.iter().map(|(node, _)| *node).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+
+    /// Indices of the nodes below `committee_size` not crashed at `t_us`
+    /// (µs), ascending.
+    pub fn live_at(&self, committee_size: usize, t_us: u64) -> Vec<usize> {
+        (0..committee_size).filter(|i| !self.crashed_at(NodeId(*i), SimTime(t_us))).collect()
     }
 
     /// Extra one-way delay affecting a `from → to` message sent at `now`.
@@ -202,7 +281,7 @@ impl FaultPlan {
         let opened = self.partitions.partition_point(|p| p.from <= now);
         self.partitions[..opened]
             .iter()
-            .filter(|p| now < p.until && p.severs(from, to))
+            .filter(|p| now < p.until && p.severs_sorted(from, to))
             .map(|p| p.until)
             .max()
     }
@@ -221,6 +300,119 @@ impl FaultPlan {
             Some((_, _, NodePhase::Crash)) => true,
             Some((_, _, NodePhase::Recover)) | None => false,
         }
+    }
+
+    /// Checks the plan against a committee of `committee_size`:
+    ///
+    /// * every referenced validator exists;
+    /// * no contradictory crash/recovery sequencing — a recovery must
+    ///   follow a crash of the same node, and a node cannot crash twice
+    ///   without recovering in between;
+    /// * at most `f = (n - 1) / 3` validators are crashed at any instant
+    ///   (beyond that the protocol cannot commit and the run measures
+    ///   nothing);
+    /// * partitions have disjoint non-empty groups and non-empty windows;
+    /// * slowdowns have positive delay and non-empty windows.
+    ///
+    /// The per-entry checks visit crashes and recoveries in builder order,
+    /// then slowdowns and partitions in start order; sequencing and the
+    /// concurrency bound are checked last.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PlanError`] naming the first violation.
+    pub fn validate(&self, committee_size: usize) -> Result<(), PlanError> {
+        let n = committee_size;
+        for (node, _) in self.crashes.iter().chain(&self.recoveries) {
+            in_committee(*node, n)?;
+        }
+        for s in &self.slowdowns {
+            in_committee(s.node, n)?;
+            if s.extra == Duration::ZERO {
+                return Err(PlanError(format!(
+                    "slowdown of validator {} has zero extra delay",
+                    s.node.0
+                )));
+            }
+            if s.until <= s.from {
+                return Err(PlanError(format!(
+                    "slowdown window of validator {} is empty ({}µs..{}µs)",
+                    s.node.0, s.from.0, s.until.0
+                )));
+            }
+        }
+        for p in &self.partitions {
+            if p.group_a.is_empty() || p.group_b.is_empty() {
+                return Err(PlanError("partition groups must both be non-empty".into()));
+            }
+            for node in p.group_a.iter().chain(&p.group_b) {
+                in_committee(*node, n)?;
+            }
+            if let Some(shared) = p.group_a.iter().find(|x| p.group_b.binary_search(x).is_ok()) {
+                return Err(PlanError(format!(
+                    "validator {} is on both sides of a partition",
+                    shared.0
+                )));
+            }
+            if p.until <= p.from {
+                return Err(PlanError(format!(
+                    "partition window is empty ({}µs..{}µs)",
+                    p.from.0, p.until.0
+                )));
+            }
+        }
+
+        // Sequencing: the timeline is sorted per node by time, a crash
+        // before a recovery at the same instant (a zero-length outage);
+        // require strict crash/recover alternation starting with a crash.
+        let mut current = None;
+        let mut down = false;
+        for &(node, at, phase) in &self.timeline {
+            if current != Some(node) {
+                current = Some(node);
+                down = false;
+            }
+            match (phase, down) {
+                (NodePhase::Crash, true) => {
+                    return Err(PlanError(format!(
+                        "validator {} crashes again at {}µs without recovering first",
+                        node.0, at.0
+                    )))
+                }
+                (NodePhase::Recover, false) => {
+                    return Err(PlanError(format!(
+                        "validator {} recovers at {}µs without a preceding crash",
+                        node.0, at.0
+                    )))
+                }
+                (NodePhase::Crash, false) => down = true,
+                (NodePhase::Recover, true) => down = false,
+            }
+        }
+
+        // Concurrency sweep: at no instant may more than f validators be
+        // down. A recovery at t frees its node at t (window semantics), so
+        // process recoveries before crashes at equal times.
+        let f = n.saturating_sub(1) / 3;
+        let mut sweep: Vec<(SimTime, bool)> =
+            self.timeline.iter().map(|&(_, at, phase)| (at, phase == NodePhase::Crash)).collect();
+        sweep.sort_unstable();
+        let mut down = 0usize;
+        for (at, is_crash) in sweep {
+            if is_crash {
+                down += 1;
+                if down > f {
+                    return Err(PlanError(format!(
+                        "{down} validators crashed at once at {}µs exceeds f = {f} for a \
+                         committee of {n}",
+                        at.0
+                    )));
+                }
+            } else {
+                down = down.saturating_sub(1);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -366,6 +558,150 @@ mod tests {
             plan.partition_release(NodeId(0), NodeId(1), SimTime::from_secs(2)),
             Some(SimTime::from_secs(5))
         );
+    }
+
+    /// A crash or recovery entry as the plan lists it.
+    fn event(node: usize, at_us: u64) -> (NodeId, SimTime) {
+        (NodeId(node), SimTime(at_us))
+    }
+
+    fn slowdown_us(node: usize, from_us: u64, until_us: u64, extra_us: u64) -> SlowdownSpec {
+        SlowdownSpec {
+            node: NodeId(node),
+            from: SimTime(from_us),
+            until: SimTime(until_us),
+            extra: Duration::from_micros(extra_us),
+        }
+    }
+
+    fn partition_us(a: &[usize], b: &[usize], from_us: u64, until_us: u64) -> PartitionSpec {
+        PartitionSpec {
+            group_a: a.iter().map(|i| NodeId(*i)).collect(),
+            group_b: b.iter().map(|i| NodeId(*i)).collect(),
+            from: SimTime(from_us),
+            until: SimTime(until_us),
+        }
+    }
+
+    #[test]
+    fn crash_last_crashes_the_tail() {
+        let plan = FaultPlan::crash_last(10, 3).expect("valid");
+        assert_eq!(plan.crashed_nodes(), vec![NodeId(7), NodeId(8), NodeId(9)]);
+        assert!(plan.crashed_at(NodeId(8), SimTime::ZERO));
+        assert!(!plan.crashed_at(NodeId(0), SimTime::ZERO));
+        assert_eq!(plan.live_at(10, 0), vec![0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn crash_last_rejects_oversized_counts() {
+        assert!(FaultPlan::crash_last(4, 5).is_err());
+        assert!(FaultPlan::crash_last(4, 4).is_err());
+        assert!(FaultPlan::crash_last(0, 0).is_err());
+    }
+
+    #[test]
+    fn recovery_windows_flow_into_liveness() {
+        let plan = FaultPlan::new()
+            .crash(NodeId(2), SimTime(5_000_000))
+            .recover(NodeId(2), SimTime(9_000_000));
+        assert!(!plan.crashed_at(NodeId(2), SimTime(4_999_999)));
+        assert!(plan.crashed_at(NodeId(2), SimTime(5_000_000)));
+        assert!(plan.crashed_at(NodeId(2), SimTime(8_999_999)));
+        assert!(!plan.crashed_at(NodeId(2), SimTime(9_000_000)));
+        assert_eq!(plan.live_at(4, 6_000_000), vec![0, 1, 3]);
+        assert_eq!(plan.live_at(4, 10_000_000), vec![0, 1, 2, 3]);
+        assert!(plan.has_recoveries());
+        assert_eq!(plan.recoveries(), &[event(2, 9_000_000)]);
+    }
+
+    #[test]
+    fn mixed_plan_keeps_builder_order_and_windows() {
+        let plan = FaultPlan::new()
+            .crash_from_start([NodeId(2), NodeId(3)])
+            .recover(NodeId(3), SimTime(7_000_000))
+            .slowdown(slowdown_us(1, 1_000_000, u64::MAX, 250_000))
+            .partition(partition_us(&[0], &[1], 2_000_000, 4_000_000));
+        assert!(!plan.is_empty());
+        assert!(FaultPlan::new().is_empty());
+        assert_eq!(plan.crashes(), &[event(2, 0), event(3, 0)]);
+        assert_eq!(plan.recoveries(), &[event(3, 7_000_000)]);
+        assert!(plan.crashed_at(NodeId(2), SimTime(8_000_000)));
+        assert!(!plan.crashed_at(NodeId(3), SimTime(8_000_000)));
+        assert_eq!(
+            plan.slowdown_delay(NodeId(1), NodeId(0), SimTime(1_500_000)),
+            Duration::from_micros(250_000)
+        );
+        assert_eq!(
+            plan.partition_release(NodeId(0), NodeId(1), SimTime(3_000_000)),
+            Some(SimTime(4_000_000))
+        );
+    }
+
+    #[test]
+    fn validate_accepts_a_full_dynamic_schedule() {
+        let plan = FaultPlan::new()
+            .crash(NodeId(3), SimTime(2_000_000))
+            .recover(NodeId(3), SimTime(6_000_000))
+            .crash(NodeId(3), SimTime(9_000_000))
+            .recover(NodeId(3), SimTime(12_000_000))
+            .slowdown(slowdown_us(1, 4_000_000, u64::MAX, 300_000))
+            .partition(partition_us(&[0, 1], &[2, 3, 4, 5, 6], 3_000_000, 5_000_000));
+        assert!(plan.validate(7).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_recover_before_crash() {
+        let plan = FaultPlan::new().recover(NodeId(1), SimTime(5_000_000));
+        let err = plan.validate(4).unwrap_err().to_string();
+        assert!(err.contains("without a preceding crash"), "{err}");
+
+        let plan = FaultPlan::new()
+            .crash(NodeId(1), SimTime(8_000_000))
+            .recover(NodeId(1), SimTime(5_000_000));
+        let err = plan.validate(4).unwrap_err().to_string();
+        assert!(err.contains("without a preceding crash"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_double_crash() {
+        let plan = FaultPlan::new()
+            .crash(NodeId(1), SimTime(1_000_000))
+            .crash(NodeId(1), SimTime(2_000_000));
+        let err = plan.validate(7).unwrap_err().to_string();
+        assert!(err.contains("crashes again"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_more_than_f_concurrent_crashes() {
+        // n = 7 → f = 2; three validators down at once is unrunnable ...
+        let plan = FaultPlan::new()
+            .crash(NodeId(0), SimTime::ZERO)
+            .crash(NodeId(1), SimTime::ZERO)
+            .crash(NodeId(2), SimTime(1_000_000));
+        let err = plan.validate(7).unwrap_err().to_string();
+        assert!(err.contains("exceeds f = 2"), "{err}");
+        // ... but fine once staggered around a recovery.
+        let plan = FaultPlan::new()
+            .crash(NodeId(0), SimTime::ZERO)
+            .crash(NodeId(1), SimTime::ZERO)
+            .recover(NodeId(0), SimTime(500_000))
+            .crash(NodeId(2), SimTime(1_000_000));
+        assert!(plan.validate(7).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_bad_partitions_and_ranges() {
+        let overlap = FaultPlan::new().partition(partition_us(&[0, 1], &[1, 2], 0, 1_000_000));
+        assert!(overlap.validate(4).unwrap_err().to_string().contains("both sides"));
+
+        let empty = FaultPlan::new().partition(partition_us(&[], &[1], 0, 1_000_000));
+        assert!(empty.validate(4).is_err());
+
+        let inverted = FaultPlan::new().partition(partition_us(&[0], &[1], 2_000_000, 1_000_000));
+        assert!(inverted.validate(4).unwrap_err().to_string().contains("empty"));
+
+        let out_of_range = FaultPlan::new().crash(NodeId(9), SimTime::ZERO);
+        assert!(out_of_range.validate(4).unwrap_err().to_string().contains("outside"));
     }
 
     /// The indexed `crashed_at` must agree with a direct transcription of

@@ -12,10 +12,9 @@
 //!   adversary may add arbitrary bounded delay and "drop" messages (they are
 //!   retransmitted and always delivered eventually, matching the reliable
 //!   links assumption); after GST every message arrives within `delta`.
-//! * [`FaultPlan`] — crash, recovery, slowdown and partition injection.
-//! * [`threaded`] — a small crossbeam-based runtime that runs the same
-//!   [`Node`] implementations on real threads with wall-clock delays, used
-//!   by examples that want to see the system run "for real".
+//! * [`FaultPlan`] — crash, recovery, slowdown and partition injection,
+//!   and [`ChaosPlan`] — link-level drop, duplication, corruption and
+//!   reorder windows; both validate against a committee before a run.
 //! * [`tcp`] — a framed TCP transport (length-prefixed frames,
 //!   thread-per-peer, reconnect with backoff): the wire layer of the real
 //!   `hh-node` runtime.
@@ -59,12 +58,11 @@ mod latency;
 pub mod prof;
 mod sim;
 pub mod tcp;
-pub mod threaded;
 mod time;
 pub mod wheel;
 
 pub use chaos::{ChaosPlan, ChaosScope, ChaosWindow};
-pub use fault::{FaultPlan, PartitionSpec, SlowdownSpec};
+pub use fault::{FaultPlan, PartitionSpec, PlanError, SlowdownSpec};
 pub use latency::{GeoLatency, LatencyModel, Region, REGION_COUNT};
 pub use sim::{Context, NetworkConfig, Node, NodeId, PreGstAdversary, SimStats, Simulator};
 pub use time::{Duration, SimTime};

@@ -81,7 +81,7 @@ pub struct Context<'a, M> {
     actions: Vec<Action<M>>,
 }
 
-pub(crate) enum Action<M> {
+enum Action<M> {
     Send {
         to: NodeId,
         msg: M,
@@ -154,21 +154,6 @@ impl<'a, M: Clone> Context<'a, M> {
     /// keeps the event queue simple).
     pub fn set_timer(&mut self, delay: Duration, token: u64) {
         self.actions.push(Action::Timer { delay, token });
-    }
-
-    /// Constructs a context for the threaded runtime adapter.
-    pub(crate) fn for_runtime(
-        id: NodeId,
-        now: SimTime,
-        num_nodes: usize,
-        rng: &'a mut StdRng,
-    ) -> Self {
-        Context { id, now, num_nodes, rng, actions: Vec::new() }
-    }
-
-    /// Drains the accumulated actions (threaded runtime adapter).
-    pub(crate) fn into_actions(self) -> Vec<Action<M>> {
-        self.actions
     }
 }
 

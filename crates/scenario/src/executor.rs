@@ -500,7 +500,7 @@ model = "flat"
         // thread with that run's labels attached, not hang or lose it.
         let good = sweep_plan();
         let mut bad_config = good.runs[0].config.clone();
-        bad_config.faults = hh_sim::FaultSchedule::new().crash_from_start([0, 1, 2, 3]);
+        bad_config.faults = hh_net::FaultPlan::new().crash_from_start((0..4).map(hh_net::NodeId));
         let bad = PlannedRun {
             variant: "doomed".into(),
             system: "bullshark".into(),

@@ -11,9 +11,13 @@
 
 use crate::toml::{self, TomlError, Value};
 use hammerhead::{HammerheadConfig, ScheduleConfig, ScoringRule};
+use hh_net::{
+    ChaosPlan, ChaosScope, ChaosWindow, Duration, FaultPlan, NodeId, PartitionSpec, SimTime,
+    SlowdownSpec,
+};
 use hh_sim::{
-    Arrival, ByzantineSchedule, ChaosEntry, ChaosSchedule, ChaosTarget, ExperimentConfig,
-    FaultSchedule, Phase, SubmissionMode, SystemKind, Workload, MAX_PAYLOAD_BYTES,
+    Arrival, ByzantineSchedule, ExperimentConfig, Phase, SubmissionMode, SystemKind, Workload,
+    MAX_PAYLOAD_BYTES,
 };
 use hh_types::{Committee, Stake, ValidatorId, TX_HEADER_BYTES};
 use std::collections::BTreeMap;
@@ -340,12 +344,12 @@ pub struct ByzantineEntrySpec {
 }
 
 /// One chaos window (`[[faults.chaos]]`) — the declarative form of
-/// [`hh_sim::ChaosEntry`], with the reorder bound in milliseconds.
+/// [`hh_net::ChaosWindow`], with the reorder bound in milliseconds.
 ///
 /// Scope defaults to every link; `node` narrows it to one validator's
 /// links (inbound and outbound), `link` to one directed pair.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ChaosEntrySpec {
+pub struct ChaosWindowSpec {
     /// Afflict only this validator's links, when set.
     pub node: Option<u16>,
     /// Afflict only the directed `(from, to)` link, when set.
@@ -365,8 +369,9 @@ pub struct ChaosEntrySpec {
 }
 
 /// The scenario's fault schedule — the declarative form of
-/// [`hh_sim::FaultSchedule`], resolved per planned run (committee size
-/// and duration fix the `n/k` counts and `*_frac` times).
+/// [`hh_net::FaultPlan`] and [`hh_net::ChaosPlan`] (plus the byzantine
+/// windows), resolved per planned run (committee size and duration fix
+/// the `n/k` counts and `*_frac` times).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultsSpec {
     /// Explicitly crashed validator ids (from t=0).
@@ -386,7 +391,7 @@ pub struct FaultsSpec {
     pub byzantine: Vec<ByzantineEntrySpec>,
     /// Adverse-network chaos windows (frame drop / duplicate / corrupt /
     /// reorder on selected links).
-    pub chaos: Vec<ChaosEntrySpec>,
+    pub chaos: Vec<ChaosWindowSpec>,
 }
 
 /// The arrival process of a `[workload]` table or `[[workload.phase]]`
@@ -1538,7 +1543,7 @@ impl ScenarioSpec {
                             ))
                         }
                     };
-                    chaos.push(ChaosEntrySpec {
+                    chaos.push(ChaosWindowSpec {
                         node,
                         link,
                         from: get_when(c, "from", "[[faults.chaos]]")?.unwrap_or(WhenSpec::Secs(0)),
@@ -2644,42 +2649,40 @@ impl ScenarioSpec {
 
         config.workload = self.workload.build(duration, load)?;
         config.max_block_bytes = self.workload.block_bytes.map(|b| b as usize);
-        config.faults = self.build_fault_schedule(n, crashed, duration)?;
+        config.faults = self.build_fault_plan(n, crashed, duration)?;
         config.byzantine = self.build_byzantine_schedule(n, duration)?;
-        config.chaos = self.build_chaos_schedule(n, duration)?;
+        config.chaos = self.build_chaos_plan(n, duration)?;
         Ok(config)
     }
 
     /// Resolves the `[[faults.chaos]]` entries against a committee of
     /// `n` and a run of `duration` seconds into the concrete
-    /// [`hh_sim::ChaosSchedule`], and validates the result (rates
-    /// outside `[0, 1]`, out-of-range validators, empty or effect-free
-    /// windows, and ambiguously overlapping same-link windows are all
-    /// rejected here).
-    fn build_chaos_schedule(
-        &self,
-        n: usize,
-        duration: u64,
-    ) -> Result<ChaosSchedule, ScenarioError> {
-        let mut schedule = ChaosSchedule::new();
+    /// [`hh_net::ChaosPlan`], and validates the result (rates outside
+    /// `[0, 1]`, out-of-range validators, empty or effect-free windows,
+    /// and ambiguously overlapping same-link windows are all rejected
+    /// here).
+    fn build_chaos_plan(&self, n: usize, duration: u64) -> Result<ChaosPlan, ScenarioError> {
+        let mut plan = ChaosPlan::new();
         for entry in &self.faults.chaos {
-            let target = match (entry.node, entry.link) {
-                (Some(node), _) => ChaosTarget::Node(node),
-                (None, Some((from, to))) => ChaosTarget::Pair { from, to },
-                (None, None) => ChaosTarget::AllLinks,
+            let scope = match (entry.node, entry.link) {
+                (Some(node), _) => ChaosScope::Node(NodeId(node as usize)),
+                (None, Some((from, to))) => {
+                    ChaosScope::Pair { from: NodeId(from as usize), to: NodeId(to as usize) }
+                }
+                (None, None) => ChaosScope::AllLinks,
             };
-            schedule = schedule.entry(ChaosEntry {
-                target,
-                from_us: entry.from.resolve_us(duration),
-                until_us: entry.until.map(|u| u.resolve_us(duration)).unwrap_or(u64::MAX),
+            plan = plan.window(ChaosWindow {
+                scope,
+                from: SimTime(entry.from.resolve_us(duration)),
+                until: entry.until.map_or(SimTime::MAX, |u| SimTime(u.resolve_us(duration))),
                 drop: entry.drop,
                 duplicate: entry.duplicate,
                 corrupt: entry.corrupt,
-                reorder_us: entry.reorder_ms.saturating_mul(1_000),
+                reorder: Duration::from_micros(entry.reorder_ms.saturating_mul(1_000)),
             });
         }
-        schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("chaos schedule: {e}")))?;
-        Ok(schedule)
+        plan.validate(n).map_err(|e| ScenarioError::Invalid(format!("chaos schedule: {e}")))?;
+        Ok(plan)
     }
 
     /// Resolves the `[[faults.byzantine]]` entries against a committee of
@@ -2722,15 +2725,18 @@ impl ScenarioSpec {
     }
 
     /// Resolves the declarative fault spec against a committee of `n` and
-    /// a run of `duration` seconds into the concrete event timeline, and
-    /// validates the result (recover-before-crash, contradictory windows,
-    /// more than `f` concurrent crashes are all rejected here).
-    fn build_fault_schedule(
+    /// a run of `duration` seconds into the concrete [`hh_net::FaultPlan`],
+    /// and validates the result (recover-before-crash, contradictory
+    /// windows, more than `f` concurrent crashes are all rejected here).
+    ///
+    /// Crashes are added before recoveries, each in declaration order: the
+    /// simulator numbers its crash and recovery events in that order.
+    fn build_fault_plan(
         &self,
         n: usize,
         crashed: &[u16],
         duration: u64,
-    ) -> Result<FaultSchedule, ScenarioError> {
+    ) -> Result<FaultPlan, ScenarioError> {
         fn resolve_nodes(sel: &NodeSel, n: usize, what: &str) -> Result<Vec<u16>, ScenarioError> {
             match sel {
                 NodeSel::Ids(ids) => {
@@ -2748,24 +2754,27 @@ impl ScenarioSpec {
             }
         }
 
-        let mut schedule = FaultSchedule::new().crash_from_start(crashed.iter().copied());
+        let ids = |nodes: Vec<u16>| nodes.into_iter().map(|i| NodeId(i as usize));
+        let mut plan =
+            FaultPlan::new().crash_from_start(crashed.iter().map(|i| NodeId(*i as usize)));
         for entry in &self.faults.crashes {
-            let at_us = entry.at.resolve_us(duration);
-            for node in resolve_nodes(&entry.nodes, n, "crash")? {
-                schedule = schedule.crash(node, at_us);
+            let at = SimTime(entry.at.resolve_us(duration));
+            for node in ids(resolve_nodes(&entry.nodes, n, "crash")?) {
+                plan = plan.crash(node, at);
             }
         }
         for entry in &self.faults.recovers {
-            let at_us = entry.at.resolve_us(duration);
-            for node in resolve_nodes(&entry.nodes, n, "recover")? {
-                schedule = schedule.recover(node, at_us);
+            let at = SimTime(entry.at.resolve_us(duration));
+            for node in ids(resolve_nodes(&entry.nodes, n, "recover")?) {
+                plan = plan.recover(node, at);
             }
         }
         for entry in &self.faults.slowdowns {
-            let from_us = entry.at.resolve_us(duration);
-            let until_us = entry.until.map(|u| u.resolve_us(duration)).unwrap_or(u64::MAX);
-            for node in resolve_nodes(&entry.nodes, n, "slowdown")? {
-                schedule = schedule.slowdown(node, from_us, until_us, entry.extra_ms * 1000);
+            let from = SimTime(entry.at.resolve_us(duration));
+            let until = entry.until.map_or(SimTime::MAX, |u| SimTime(u.resolve_us(duration)));
+            let extra = Duration::from_micros(entry.extra_ms * 1000);
+            for node in ids(resolve_nodes(&entry.nodes, n, "slowdown")?) {
+                plan = plan.slowdown(SlowdownSpec { node, from, until, extra });
             }
         }
         for entry in &self.faults.partitions {
@@ -2785,15 +2794,15 @@ impl ScenarioSpec {
                     ((0..k as u16).collect(), (k as u16..n as u16).collect())
                 }
             };
-            schedule = schedule.partition(
-                a,
-                b,
-                entry.from.resolve_us(duration),
-                entry.until.resolve_us(duration),
-            );
+            plan = plan.partition(PartitionSpec {
+                group_a: ids(a).collect(),
+                group_b: ids(b).collect(),
+                from: SimTime(entry.from.resolve_us(duration)),
+                until: SimTime(entry.until.resolve_us(duration)),
+            });
         }
-        schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("fault schedule: {e}")))?;
-        Ok(schedule)
+        plan.validate(n).map_err(|e| ScenarioError::Invalid(format!("fault schedule: {e}")))?;
+        Ok(plan)
     }
 }
 
@@ -2900,7 +2909,10 @@ run = ["bullshark", "hammerhead"]
         assert_eq!(plan.runs[0].fault_count, 3);
         assert_eq!(plan.runs[1].fault_count, 33);
         // The last validators crash, not the first.
-        assert_eq!(plan.runs[0].config.faults.crashed_nodes(), vec![7, 8, 9]);
+        assert_eq!(
+            plan.runs[0].config.faults.crashed_nodes(),
+            vec![NodeId(7), NodeId(8), NodeId(9)]
+        );
     }
 
     #[test]
@@ -2983,14 +2995,15 @@ extra_ms = 800
         let config = &plan.runs[0].config;
         // n = 10 → one degraded validator, onset at 20s, +800 ms.
         assert_eq!(
-            config.faults.events(),
-            &[hh_sim::FaultEvent::Slowdown {
-                node: 0,
-                from_us: 20_000_000,
-                until_us: u64::MAX,
-                extra_us: 800_000,
+            config.faults.slowdowns(),
+            &[SlowdownSpec {
+                node: NodeId(0),
+                from: SimTime(20_000_000),
+                until: SimTime::MAX,
+                extra: Duration::from_micros(800_000),
             }]
         );
+        assert!(config.faults.crashes().is_empty() && config.faults.partitions().is_empty());
     }
 
     #[test]
@@ -3015,20 +3028,18 @@ until_frac = 0.75
         .unwrap();
         let plan = spec.plan(&PlanOptions::default()).unwrap();
         let config = &plan.runs[0].config;
-        use hh_sim::FaultEvent;
+        assert_eq!(config.faults.crashes(), &[(NodeId(3), SimTime(8_000_000))]);
+        assert_eq!(config.faults.recoveries(), &[(NodeId(3), SimTime(16_000_000))]);
         assert_eq!(
-            config.faults.events(),
-            &[
-                FaultEvent::Crash { node: 3, at_us: 8_000_000 },
-                FaultEvent::Recover { node: 3, at_us: 16_000_000 },
-                FaultEvent::Partition {
-                    group_a: vec![0, 1],
-                    group_b: vec![2, 3, 4, 5, 6],
-                    from_us: 20_000_000,
-                    until_us: 30_000_000,
-                },
-            ]
+            config.faults.partitions(),
+            &[PartitionSpec {
+                group_a: vec![NodeId(0), NodeId(1)],
+                group_b: (2..7).map(NodeId).collect(),
+                from: SimTime(20_000_000),
+                until: SimTime(30_000_000),
+            }]
         );
+        assert!(config.faults.slowdowns().is_empty());
         assert!(config.faults.has_recoveries());
         // The mid-run crash counts toward the faults label.
         assert_eq!(plan.runs[0].fault_count, 1);
@@ -3168,17 +3179,18 @@ chaos = true
         assert_eq!(spec.faults.chaos.len(), 3);
         assert!(spec.analysis.chaos);
         let plan = spec.plan(&PlanOptions::default()).unwrap();
-        let schedule = &plan.runs[0].config.chaos;
-        let entries = schedule.entries();
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0].target, hh_sim::ChaosTarget::AllLinks);
-        assert_eq!(entries[0].until_us, 5_000_000, "frac of a 10s run");
-        assert_eq!(entries[0].drop, 0.3);
-        assert_eq!(entries[1].target, hh_sim::ChaosTarget::Node(2));
-        assert_eq!(entries[1].until_us, u64::MAX, "open window runs to the end");
-        assert_eq!(entries[1].reorder_us, 40_000, "ms sugar lowers to µs");
-        assert_eq!(entries[2].target, hh_sim::ChaosTarget::Pair { from: 0, to: 1 });
-        assert_eq!(entries[2].from_us, 5_000_000);
+        // The plan holds windows by start: 0s (all links), then 5s twice,
+        // the node window (declared first) ahead of the pair window.
+        let windows = plan.runs[0].config.chaos.windows();
+        assert_eq!(windows.len(), 3);
+        assert_eq!(windows[0].scope, ChaosScope::AllLinks);
+        assert_eq!(windows[0].until, SimTime(5_000_000), "frac of a 10s run");
+        assert_eq!(windows[0].drop, 0.3);
+        assert_eq!(windows[1].scope, ChaosScope::Node(NodeId(2)));
+        assert_eq!(windows[1].until, SimTime::MAX, "open window runs to the end");
+        assert_eq!(windows[1].reorder, Duration::from_micros(40_000), "ms sugar lowers to µs");
+        assert_eq!(windows[2].scope, ChaosScope::Pair { from: NodeId(0), to: NodeId(1) });
+        assert_eq!(windows[2].from, SimTime(5_000_000));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! scenario must build exactly the configuration the legacy hard-coded
 //! `fig2_faults` binary used.
 
+use hh_net::FaultPlan;
 use hh_scenario::{load_scenario, repo_scenarios_dir, PlanOptions, ScenarioSpec};
-use hh_sim::{run_experiment, ExperimentConfig, FaultSchedule, SystemKind};
+use hh_sim::{run_experiment, ExperimentConfig, SystemKind};
 use std::path::PathBuf;
 
 fn checked_in_scenarios() -> Vec<PathBuf> {
@@ -73,7 +74,7 @@ fn fig2_scenario_matches_legacy_binary_config() {
     legacy.duration_secs = 15;
     legacy.warmup_secs = 2;
     legacy.seed = 42;
-    legacy.faults = FaultSchedule::crash_last(committee, committee / 3).expect("f < n");
+    legacy.faults = FaultPlan::crash_last(committee, committee / 3).expect("f < n");
 
     assert_eq!(run.config.committee_size, legacy.committee_size);
     assert_eq!(run.config.duration_secs, legacy.duration_secs);

@@ -2,7 +2,7 @@
 //! lower to.
 //!
 //! A [`ByzantineSchedule`] is the strategic-adversary counterpart of the
-//! crash/partition [`FaultSchedule`](crate::FaultSchedule): an ordered
+//! crash/partition [`hh_net::FaultPlan`]: an ordered
 //! list of per-validator attack windows, validated up front
 //! ([`ByzantineSchedule::validate`]) and lowered by
 //! [`build_sim`](crate::build_sim) into a [`ByzantineBehavior`] attached

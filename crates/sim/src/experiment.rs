@@ -3,8 +3,6 @@
 
 use crate::actor::{Actor, Client};
 use crate::byzantine::ByzantineSchedule;
-use crate::chaos_schedule::ChaosSchedule;
-use crate::fault_schedule::FaultSchedule;
 use crate::metrics::LatencySummary;
 use crate::safety::SafetyChecker;
 use crate::sink::MetricsSink;
@@ -13,8 +11,8 @@ use hammerhead::{HammerheadConfig, ScheduleConfig, Validator, ValidatorConfig};
 use hh_consensus::SchedulePolicy;
 use hh_crypto::Digest;
 use hh_net::{
-    Duration, GeoLatency, LatencyModel, NetworkConfig, NodeId, Region, SimTime, Simulator,
-    REGION_COUNT,
+    ChaosPlan, Duration, FaultPlan, GeoLatency, LatencyModel, NetworkConfig, NodeId, Region,
+    SimTime, Simulator, REGION_COUNT,
 };
 use hh_storage::MemBackend;
 use hh_types::{Committee, ValidatorId};
@@ -63,18 +61,19 @@ pub struct ExperimentConfig {
     pub duration_secs: u64,
     /// Initial window excluded from latency statistics.
     pub warmup_secs: u64,
-    /// The fault schedule: crashes, recoveries, slowdowns, partitions.
-    pub faults: FaultSchedule,
+    /// The fault plan: crashes, recoveries, slowdowns, partitions.
+    pub faults: FaultPlan,
     /// The byzantine schedule: strategic adversaries (equivocation, vote
     /// withholding, lazy leadership, flip-flopping) attacking the
     /// reputation mechanism. Empty by default — and an empty schedule
     /// changes nothing about the run, bit for bit.
     pub byzantine: ByzantineSchedule,
-    /// The chaos schedule: per-window message drop, duplication,
-    /// corruption and reordering on selected links (adverse-network
-    /// model). Empty by default — and an empty schedule draws no
-    /// randomness, so it changes nothing about the run, bit for bit.
-    pub chaos: ChaosSchedule,
+    /// The chaos plan: per-window message drop, duplication, corruption
+    /// and reordering on selected links (adverse-network model), applied
+    /// to validator links only. Empty by default — and an empty plan
+    /// draws no randomness, so it changes nothing about the run, bit for
+    /// bit.
+    pub chaos: ChaosPlan,
     /// Use the 13-region AWS latency matrix (`true`, the paper's setting)
     /// or a flat network (`false`, fast unit tests).
     pub geo: bool,
@@ -113,9 +112,9 @@ impl ExperimentConfig {
             max_block_bytes: None,
             duration_secs: 60,
             warmup_secs: 10,
-            faults: FaultSchedule::default(),
+            faults: FaultPlan::default(),
             byzantine: ByzantineSchedule::default(),
-            chaos: ChaosSchedule::default(),
+            chaos: ChaosPlan::default(),
             geo: true,
             flat_latency_ms: 5,
             validator_config: None,
@@ -138,9 +137,9 @@ impl ExperimentConfig {
             max_block_bytes: None,
             duration_secs: 3,
             warmup_secs: 0,
-            faults: FaultSchedule::default(),
+            faults: FaultPlan::default(),
             byzantine: ByzantineSchedule::default(),
-            chaos: ChaosSchedule::default(),
+            chaos: ChaosPlan::default(),
             geo: false,
             flat_latency_ms: 5,
             validator_config: Some(ValidatorConfig {
@@ -293,7 +292,8 @@ impl SimHandle {
         let network_round =
             (0..self.n_validators).map(|i| self.validator(i).current_round().0).max().unwrap_or(0);
         for (validator, t) in config.faults.recoveries() {
-            if t == at_us {
+            if t.as_micros() == at_us {
+                let validator = validator.0 as u16;
                 self.recovery_samples.push(RecoverySample { validator, at_us, network_round });
             }
         }
@@ -307,10 +307,19 @@ impl SimHandle {
 /// whose handle survives the crash), so a scheduled recovery replays
 /// `Validator::on_restart` from real persisted state instead of
 /// restarting empty.
+///
+/// # Panics
+///
+/// Panics on a fault, byzantine or chaos timeline or a workload that
+/// fails validation: the scenario layer rejects these at plan time, and
+/// programmatic configs get the same checks here.
 pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
     let n = config.committee_size;
     let committee = Committee::new_equal_stake(n);
     let mut validator_config = config.derive_validator_config();
+    if let Err(e) = config.faults.validate(n) {
+        panic!("invalid fault schedule: {e}");
+    }
     if let Err(e) = config.byzantine.validate(n) {
         panic!("invalid byzantine schedule: {e}");
     }
@@ -379,8 +388,9 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
 
     let net = NetworkConfig {
         latency,
-        faults: config.faults.to_plan(),
-        chaos: config.chaos.to_plan(n),
+        faults: config.faults.clone(),
+        // Clients sit at ids `n..` and keep clean links.
+        chaos: config.chaos.clone().restrict_to(n),
         gst: SimTime::from_secs(config.gst_secs),
         ..NetworkConfig::default()
     };
@@ -450,7 +460,7 @@ pub fn run_experiment_limited(config: &ExperimentConfig, limit: RunLimit) -> Run
 /// The validator indices the streaming drivers may safely drain mid-run:
 /// not crashed at any point through the configured cap, so no record of
 /// a validator that later turns out to be crashed-at-stop ever reaches
-/// the sink. The metrics collectors use [`FaultSchedule::live_at`] at
+/// the sink. The metrics collectors use [`FaultPlan::live_at`] at
 /// the *actual* stop time instead — a run stopped before a scheduled
 /// crash counts that (never-crashed) validator as live.
 fn drainable_validators(config: &ExperimentConfig, n_validators: usize) -> Vec<usize> {
@@ -461,8 +471,13 @@ fn drainable_validators(config: &ExperimentConfig, n_validators: usize) -> Vec<u
 /// deduplicated — extra driver boundaries so the network round can be
 /// sampled at exactly each recovery.
 fn recovery_times(config: &ExperimentConfig, cap_us: u64) -> Vec<u64> {
-    let mut times: Vec<u64> =
-        config.faults.recoveries().iter().map(|(_, t)| *t).filter(|t| *t <= cap_us).collect();
+    let mut times: Vec<u64> = config
+        .faults
+        .recoveries()
+        .iter()
+        .map(|(_, t)| t.as_micros())
+        .filter(|t| *t <= cap_us)
+        .collect();
     times.sort_unstable();
     times.dedup();
     times
@@ -730,6 +745,27 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hh_net::{ChaosScope, ChaosWindow, PartitionSpec};
+
+    /// Crashes `node` at `crash_us` and restarts it at `recover_us`.
+    fn crash_and_recover(node: usize, crash_us: u64, recover_us: u64) -> FaultPlan {
+        FaultPlan::new()
+            .crash(NodeId(node), SimTime(crash_us))
+            .recover(NodeId(node), SimTime(recover_us))
+    }
+
+    /// A chaos window over every link for the whole run, all rates zero.
+    fn all_links_forever() -> ChaosWindow {
+        ChaosWindow {
+            scope: ChaosScope::AllLinks,
+            from: SimTime::ZERO,
+            until: SimTime::MAX,
+            drop: 0.0,
+            duplicate: 0.0,
+            corrupt: 0.0,
+            reorder: Duration::ZERO,
+        }
+    }
 
     #[test]
     fn quick_bullshark_run_commits_and_agrees() {
@@ -757,7 +793,7 @@ mod tests {
         let mut base = ExperimentConfig::quick_test(SystemKind::Bullshark);
         base.committee_size = 4;
         base.duration_secs = 8;
-        base.faults = FaultSchedule::crash_last(4, 1).expect("1 of 4 is a valid crash spec");
+        base.faults = FaultPlan::crash_last(4, 1).expect("1 of 4 is a valid crash spec");
 
         let bullshark = run_experiment(&base);
 
@@ -811,11 +847,11 @@ mod tests {
     fn crash_last_rejects_oversized_counts_instead_of_panicking() {
         // Regression: `count > committee_size` used to underflow
         // `committee_size - count` and panic in release-unfriendly ways.
-        assert!(FaultSchedule::crash_last(4, 5).is_err());
-        assert!(FaultSchedule::crash_last(4, 4).is_err(), "crashing everyone is unrunnable too");
-        assert!(FaultSchedule::crash_last(0, 0).is_err());
-        let ok = FaultSchedule::crash_last(4, 1).expect("valid spec");
-        assert_eq!(ok.crashed_nodes(), vec![3]);
+        assert!(FaultPlan::crash_last(4, 5).is_err());
+        assert!(FaultPlan::crash_last(4, 4).is_err(), "crashing everyone is unrunnable too");
+        assert!(FaultPlan::crash_last(0, 0).is_err());
+        let ok = FaultPlan::crash_last(4, 1).expect("valid spec");
+        assert_eq!(ok.crashed_nodes(), vec![NodeId(3)]);
     }
 
     #[test]
@@ -825,7 +861,7 @@ mod tests {
         // divergence, and keep Total Order across the whole committee.
         let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
         config.duration_secs = 6;
-        config.faults = FaultSchedule::new().crash(3, 1_500_000).recover(3, 3_000_000);
+        config.faults = crash_and_recover(3, 1_500_000, 3_000_000);
         config.faults.validate(config.committee_size).expect("runnable schedule");
 
         let (handle, end_us) = run_sim_limited(&config, RunLimit::Duration);
@@ -860,8 +896,12 @@ mod tests {
         // and the isolated validator catches back up after the heal.
         let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
         config.duration_secs = 6;
-        config.faults =
-            FaultSchedule::new().partition(vec![0], vec![1, 2, 3], 1_000_000, 2_000_000);
+        config.faults = FaultPlan::new().partition(PartitionSpec {
+            group_a: vec![NodeId(0)],
+            group_b: vec![NodeId(1), NodeId(2), NodeId(3)],
+            from: SimTime(1_000_000),
+            until: SimTime(2_000_000),
+        });
         config.faults.validate(config.committee_size).expect("runnable schedule");
         let r = run_experiment(&config);
         assert!(r.agreement_ok);
@@ -877,7 +917,7 @@ mod tests {
         // identically.
         let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
         config.duration_secs = 30;
-        config.faults = FaultSchedule::new().crash(3, 29_000_000);
+        config.faults = FaultPlan::new().crash(NodeId(3), SimTime(29_000_000));
 
         let (handle, end_us) = run_sim_limited(&config, RunLimit::Rounds(10));
         assert!(end_us < 29_000_000, "the run stopped before the scheduled crash");
@@ -903,7 +943,7 @@ mod tests {
         // change a single metric relative to the buffered path.
         let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
         config.duration_secs = 5;
-        config.faults = FaultSchedule::new().crash(2, 1_100_000).recover(2, 2_700_000);
+        config.faults = crash_and_recover(2, 1_100_000, 2_700_000);
 
         let (handle, end_us) = run_sim_limited(&config, RunLimit::Duration);
         let buffered = collect_metrics(&config, &handle, end_us);
@@ -1114,7 +1154,7 @@ mod tests {
         let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
         config.duration_secs = 6;
         config.byzantine = ByzantineSchedule::new().equivocate(3, 0, u64::MAX);
-        config.faults = FaultSchedule::new().crash(1, 1_500_000).recover(1, 3_000_000);
+        config.faults = crash_and_recover(1, 1_500_000, 3_000_000);
         config.faults.validate(config.committee_size).expect("runnable schedule");
 
         let (handle, end_us) = run_sim_limited(&config, RunLimit::Duration);
@@ -1195,7 +1235,7 @@ mod tests {
         assert!(config.chaos.is_empty());
         let a = run_experiment(&config);
         let mut with_empty = config.clone();
-        with_empty.chaos = ChaosSchedule::new();
+        with_empty.chaos = ChaosPlan::new();
         let b = run_experiment(&with_empty);
         assert_eq!(a.chain_hash, b.chain_hash);
         assert_eq!(a.commits, b.commits);
@@ -1210,9 +1250,27 @@ mod tests {
     #[should_panic(expected = "invalid chaos schedule")]
     fn build_sim_rejects_invalid_chaos_schedules_up_front() {
         let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
-        let mut entry = crate::ChaosEntry::all_links(0, u64::MAX);
-        entry.drop = 1.5;
-        config.chaos = ChaosSchedule::new().entry(entry);
+        config.chaos = ChaosPlan::new().window(ChaosWindow { drop: 1.5, ..all_links_forever() });
+        build_sim(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault schedule: validator 1 recovers at 1000000µs without \
+                               a preceding crash")]
+    fn build_sim_rejects_recover_before_crash_up_front() {
+        // A programmatic config can skip the scenario layer; the sim must
+        // still refuse a contradictory fault plan instead of running it.
+        let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        config.faults = crash_and_recover(1, 2_000_000, 1_000_000);
+        build_sim(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault schedule: 2 validators crashed at once at 0µs \
+                               exceeds f = 1 for a committee of 4")]
+    fn build_sim_rejects_more_than_f_crashed_up_front() {
+        let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        config.faults = FaultPlan::new().crash_from_start([NodeId(2), NodeId(3)]);
         build_sim(&config);
     }
 
@@ -1228,9 +1286,8 @@ mod tests {
         let clean = run_experiment(&config);
 
         let mut lossy_config = config.clone();
-        let mut entry = crate::ChaosEntry::all_links(0, u64::MAX);
-        entry.drop = 0.5;
-        lossy_config.chaos = ChaosSchedule::new().entry(entry);
+        lossy_config.chaos =
+            ChaosPlan::new().window(ChaosWindow { drop: 0.5, ..all_links_forever() });
         lossy_config.chaos.validate(lossy_config.committee_size).expect("runnable chaos");
         let lossy = run_experiment(&lossy_config);
 
@@ -1266,12 +1323,13 @@ mod tests {
         // and the safety audit must stay clean throughout.
         let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
         config.duration_secs = 6;
-        let mut entry = crate::ChaosEntry::all_links(0, u64::MAX);
-        entry.drop = 0.1;
-        entry.duplicate = 0.2;
-        entry.corrupt = 0.15;
-        entry.reorder_us = 40_000;
-        config.chaos = ChaosSchedule::new().entry(entry);
+        config.chaos = ChaosPlan::new().window(ChaosWindow {
+            drop: 0.1,
+            duplicate: 0.2,
+            corrupt: 0.15,
+            reorder: Duration::from_micros(40_000),
+            ..all_links_forever()
+        });
         config.chaos.validate(config.committee_size).expect("runnable chaos");
 
         let r = run_experiment(&config);

@@ -9,8 +9,6 @@
 //! * [`MemBackend`] / [`FileBackend`] — storage media. The memory backend
 //!   hands out shareable handles so a simulated validator can "crash" (drop
 //!   all volatile state) and "restart" against the same bytes;
-//! * [`KvStore`] — a log-structured key-value store with tombstones and
-//!   compaction, for components that want point lookups;
 //! * [`ValidatorStore`] — the typed layer validators actually use: append
 //!   every delivered vertex and periodic commit checkpoints; recovery
 //!   returns vertices in insertion-safe order for deterministic replay.
@@ -33,11 +31,9 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod backend;
-mod kv;
 mod validator_store;
 mod wal;
 
 pub use backend::{FileBackend, LogBackend, MemBackend};
-pub use kv::KvStore;
 pub use validator_store::{RecoveredState, StoreRecord, ValidatorStore};
 pub use wal::{Wal, WalError};

@@ -6,7 +6,8 @@
 //! cargo run --release --example crash_faults
 //! ```
 
-use hammerhead_repro::hh_sim::{run_experiment, ExperimentConfig, FaultSchedule, SystemKind};
+use hammerhead_repro::hh_net::FaultPlan;
+use hammerhead_repro::hh_sim::{run_experiment, ExperimentConfig, SystemKind};
 
 fn main() {
     let committee = 10;
@@ -24,7 +25,7 @@ fn main() {
         let mut config = ExperimentConfig::paper(system, committee, load);
         config.duration_secs = 45;
         config.warmup_secs = 10;
-        config.faults = FaultSchedule::crash_last(committee, faults).expect("faults < committee");
+        config.faults = FaultPlan::crash_last(committee, faults).expect("faults < committee");
         let r = run_experiment(&config);
         assert!(r.agreement_ok, "total order violated");
         println!(

@@ -11,10 +11,8 @@
 //! cargo run --release --example incident_replay
 //! ```
 
-use hammerhead_repro::hh_net::SimTime;
-use hammerhead_repro::hh_sim::{
-    build_sim, ExperimentConfig, FaultSchedule, LatencySummary, SystemKind,
-};
+use hammerhead_repro::hh_net::{Duration, FaultPlan, NodeId, SimTime, SlowdownSpec};
+use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, LatencySummary, SystemKind};
 
 fn window_summary(
     handle: &hammerhead_repro::hh_sim::SimHandle,
@@ -47,8 +45,13 @@ fn main() {
         let mut config = ExperimentConfig::paper(system, committee, 150);
         config.duration_secs = end_s;
         config.warmup_secs = 5;
-        config.faults = (0..degraded).fold(FaultSchedule::new(), |faults, v| {
-            faults.slowdown_from(v, onset_s * 1_000_000, 800_000)
+        config.faults = (0..degraded).fold(FaultPlan::new(), |faults, v| {
+            faults.slowdown(SlowdownSpec {
+                node: NodeId(v),
+                from: SimTime::from_secs(onset_s),
+                until: SimTime::MAX,
+                extra: Duration::from_millis(800),
+            })
         });
         let mut handle = build_sim(&config);
         handle.sim.run_until(SimTime::from_secs(end_s));

@@ -7,8 +7,8 @@
 //! ```
 
 use hammerhead_repro::hh_consensus::SchedulePolicy;
-use hammerhead_repro::hh_net::SimTime;
-use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, FaultSchedule, SystemKind};
+use hammerhead_repro::hh_net::{Duration, FaultPlan, NodeId, SimTime, SlowdownSpec};
+use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, SystemKind};
 use hammerhead_repro::hh_types::ValidatorId;
 
 fn main() {
@@ -17,8 +17,12 @@ fn main() {
     config.duration_secs = 40;
     config.warmup_secs = 2;
     // v7 crashed from the start; v6 slow (+500ms) from t=10s.
-    config.faults =
-        FaultSchedule::new().crash_from_start([7]).slowdown_from(6, 10_000_000, 500_000);
+    config.faults = FaultPlan::new().crash_from_start([NodeId(7)]).slowdown(SlowdownSpec {
+        node: NodeId(6),
+        from: SimTime::from_secs(10),
+        until: SimTime::MAX,
+        extra: Duration::from_millis(500),
+    });
 
     println!("8 validators: v7 crashed from t=0, v6 slowed (+500ms) from t=10s\n");
     let mut handle = build_sim(&config);

@@ -1,7 +1,7 @@
 //! Liveness and Leader Utilization integration tests (Lemmas 3, 4, 6).
 
-use hammerhead_repro::hh_net::SimTime;
-use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, FaultSchedule, SystemKind};
+use hammerhead_repro::hh_net::{FaultPlan, SimTime};
+use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, SystemKind};
 use std::collections::HashSet;
 
 fn skipped_leader_rounds(anchors: &[hammerhead_repro::hh_types::VertexRef]) -> u64 {
@@ -41,7 +41,7 @@ fn rounds_advance_with_maximum_faults() {
     let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
     config.committee_size = 7;
     config.duration_secs = 8;
-    config.faults = FaultSchedule::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
+    config.faults = FaultPlan::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
     let mut handle = build_sim(&config);
     handle.sim.run_until(SimTime::from_secs(8));
     for i in 0..5 {
@@ -60,7 +60,7 @@ fn leader_utilization_bound_holds() {
         config.committee_size = 7;
         config.duration_secs = secs;
         config.load_tps = 70;
-        config.faults = FaultSchedule::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
+        config.faults = FaultPlan::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
         config.hammerhead = hammerhead_repro::hammerhead::HammerheadConfig {
             period_rounds: 6,
             ..Default::default()
@@ -95,7 +95,7 @@ fn crashed_validators_leave_schedule_and_return_on_recovery_of_scores() {
     let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
     config.committee_size = 5;
     config.duration_secs = 8;
-    config.faults = FaultSchedule::crash_last(5, 1).expect("1 of 5 is a valid crash spec");
+    config.faults = FaultPlan::crash_last(5, 1).expect("1 of 5 is a valid crash spec");
     config.hammerhead =
         hammerhead_repro::hammerhead::HammerheadConfig { period_rounds: 6, ..Default::default() };
     let mut handle = build_sim(&config);
@@ -123,7 +123,7 @@ fn throughput_sustained_under_faults_with_hammerhead() {
     let clean = hammerhead_repro::hh_sim::run_experiment(&faultless);
 
     let mut faulted = faultless.clone();
-    faulted.faults = FaultSchedule::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
+    faulted.faults = FaultPlan::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
     let dirty = hammerhead_repro::hh_sim::run_experiment(&faulted);
 
     assert!(clean.agreement_ok && dirty.agreement_ok);

@@ -6,9 +6,8 @@
 //! Order property, plus Schedule Agreement for the HammerHead runs.
 
 use hammerhead_repro::hh_consensus::SchedulePolicy;
-use hammerhead_repro::hh_sim::{
-    build_sim, run_experiment, ExperimentConfig, FaultSchedule, SystemKind,
-};
+use hammerhead_repro::hh_net::FaultPlan;
+use hammerhead_repro::hh_sim::{build_sim, run_experiment, ExperimentConfig, SystemKind};
 
 /// Prefix-checks anchors across all live validators of a finished run.
 fn assert_agreement(handle: &hammerhead_repro::hh_sim::SimHandle, crashed: &[u16]) {
@@ -51,7 +50,7 @@ fn agreement_with_maximum_crash_faults() {
             config.committee_size = 7;
             config.duration_secs = 6;
             config.seed = seed;
-            config.faults = FaultSchedule::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
+            config.faults = FaultPlan::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
             let r = run_experiment(&config);
             assert!(r.agreement_ok, "seed {seed} {system:?}");
             assert!(r.commits > 0);
@@ -83,7 +82,7 @@ fn agreement_with_geo_latency_and_faults() {
     let mut config = ExperimentConfig::paper(SystemKind::Hammerhead, 13, 300);
     config.duration_secs = 20;
     config.warmup_secs = 2;
-    config.faults = FaultSchedule::crash_last(13, 4).expect("4 of 13 is a valid crash spec");
+    config.faults = FaultPlan::crash_last(13, 4).expect("4 of 13 is a valid crash spec");
     let r = run_experiment(&config);
     assert!(r.agreement_ok);
     assert!(r.schedule_epochs >= 1, "schedule must rotate under faults");
@@ -172,7 +171,7 @@ fn determinism_full_stack() {
     let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
     config.committee_size = 5;
     config.duration_secs = 5;
-    config.faults = FaultSchedule::crash_last(5, 1).expect("1 of 5 is a valid crash spec");
+    config.faults = FaultPlan::crash_last(5, 1).expect("1 of 5 is a valid crash spec");
     let a = run_experiment(&config);
     let b = run_experiment(&config);
     assert_eq!(a.chain_hash, b.chain_hash);
