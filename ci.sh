@@ -4,7 +4,9 @@
 # Usage: ./ci.sh
 #
 # Runs, in order: format check, clippy (warnings are errors), release
-# build, the full workspace test suite, doc tests, an hh-cli smoke run
+# build, the full workspace test suite, doc tests, the benchmark
+# package's build and tests (perfbench/ compiles against the scenario
+# and DAG crates' public API), an hh-cli smoke run
 # of the Figure 1 scenario capped at 50 DAG rounds, a parallel matrix
 # smoke run, a determinism gate checking that --jobs 1 and --jobs 4
 # emit byte-identical JSON for a fixed seed, a recovery smoke asserting
@@ -43,6 +45,9 @@ cargo test --workspace -q
 
 step "cargo test --doc"
 cargo test --workspace --doc -q
+
+step "perfbench: build and test the benchmark package"
+cargo test --release --manifest-path perfbench/Cargo.toml -q
 
 step "hh-cli smoke run (fig1, 50 rounds)"
 ./target/release/hh-cli run scenarios/fig1_faultless.toml --quick --rounds 50

@@ -25,17 +25,20 @@
 //! keypairs in every process, so a config needs no key material — only
 //! who listens where. Every `[validator]` knob must be identical across
 //! the committee (they parameterize consensus, not the local host).
+//!
+//! Every key is required, and unknown keys are rejected: the keys are
+//! declared once, in the [`Schema`] impl below.
 
 use hammerhead::{HammerheadConfig, ScheduleConfig, ValidatorConfig};
 use hh_net::tcp::TcpConfig;
-use hh_scenario::toml::{self, Value};
+use hh_scenario::schema::{self, key, List, Rule::Required, Schema, Visitor};
+use hh_scenario::toml;
 use hh_types::Committee;
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
 /// Configuration of one `hh-node` process.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodeConfig {
     /// This validator's id (index into `peers`).
     pub id: u16,
@@ -84,26 +87,8 @@ impl NodeConfig {
     /// Returns a description of the first syntax or semantic problem.
     pub fn parse(text: &str) -> Result<Self, String> {
         let root = toml::parse(text).map_err(|e| format!("config: {e}"))?;
-        let root = root.as_table().ok_or("config: root is not a table")?;
-
-        let node = table(root, "node")?;
-        let committee = table(root, "committee")?;
-        let validator = table(root, "validator")?;
-
-        let id = int(node, "id")? as u16;
-        let wal = PathBuf::from(string(node, "wal")?);
-        let peers = string_array(committee, "peers")?;
-        let config = NodeConfig {
-            id,
-            peers,
-            wal,
-            schedule: string(validator, "schedule")?,
-            min_round_delay_ms: int(validator, "min_round_delay_ms")? as u64,
-            leader_timeout_ms: int(validator, "leader_timeout_ms")? as u64,
-            sync_tick_ms: int(validator, "sync_tick_ms")? as u64,
-            status_interval_ms: int(validator, "status_interval_ms")? as u64,
-            exec_rate_tps: int(validator, "exec_rate_tps")? as u64,
-        };
+        let config: Self =
+            schema::read(&root, "the config root").map_err(|e| format!("config: {e}"))?;
         config.validate()?;
         Ok(config)
     }
@@ -122,22 +107,7 @@ impl NodeConfig {
 
     /// Serializes back to the TOML format [`NodeConfig::parse`] accepts.
     pub fn to_toml(&self) -> String {
-        let peers = self.peers.iter().map(|p| format!("{p:?}")).collect::<Vec<_>>().join(", ");
-        format!(
-            "[node]\nid = {}\nwal = {:?}\n\n[committee]\npeers = [{}]\n\n\
-             [validator]\nschedule = {:?}\nmin_round_delay_ms = {}\n\
-             leader_timeout_ms = {}\nsync_tick_ms = {}\nstatus_interval_ms = {}\n\
-             exec_rate_tps = {}\n",
-            self.id,
-            self.wal.display().to_string(),
-            peers,
-            self.schedule,
-            self.min_round_delay_ms,
-            self.leader_timeout_ms,
-            self.sync_tick_ms,
-            self.status_interval_ms,
-            self.exec_rate_tps,
-        )
+        toml::serialize(&schema::write(self))
     }
 
     /// Checks internal consistency.
@@ -231,38 +201,24 @@ impl NodeConfig {
     }
 }
 
-fn table<'a>(
-    root: &'a BTreeMap<String, Value>,
-    key: &str,
-) -> Result<&'a BTreeMap<String, Value>, String> {
-    root.get(key).and_then(Value::as_table).ok_or_else(|| format!("config: missing [{key}] table"))
-}
-
-fn string(t: &BTreeMap<String, Value>, key: &str) -> Result<String, String> {
-    match t.get(key) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("config: missing or non-string key {key:?}")),
+impl Schema for NodeConfig {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.section("node", |v| {
+            v.field(key::<u16>("id"), &mut self.id, Required);
+            v.field(key::<PathBuf>("wal"), &mut self.wal, Required);
+        });
+        v.section("committee", |v| {
+            v.field(key::<List<String>>("peers"), &mut self.peers, Required);
+        });
+        v.section("validator", |v| {
+            v.field(key::<String>("schedule"), &mut self.schedule, Required);
+            v.field(key::<u64>("min_round_delay_ms"), &mut self.min_round_delay_ms, Required);
+            v.field(key::<u64>("leader_timeout_ms"), &mut self.leader_timeout_ms, Required);
+            v.field(key::<u64>("sync_tick_ms"), &mut self.sync_tick_ms, Required);
+            v.field(key::<u64>("status_interval_ms"), &mut self.status_interval_ms, Required);
+            v.field(key::<u64>("exec_rate_tps"), &mut self.exec_rate_tps, Required);
+        });
     }
-}
-
-fn int(t: &BTreeMap<String, Value>, key: &str) -> Result<i64, String> {
-    match t.get(key) {
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i),
-        _ => Err(format!("config: missing or invalid integer key {key:?}")),
-    }
-}
-
-fn string_array(t: &BTreeMap<String, Value>, key: &str) -> Result<Vec<String>, String> {
-    let Some(Value::Array(items)) = t.get(key) else {
-        return Err(format!("config: missing array key {key:?}"));
-    };
-    items
-        .iter()
-        .map(|v| match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(format!("config: non-string entry in {key:?}: {other:?}")),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -281,6 +237,37 @@ mod tests {
         let cfg = sample();
         let parsed = NodeConfig::parse(&cfg.to_toml()).expect("parse");
         assert_eq!(parsed, cfg);
+    }
+
+    #[test]
+    fn rejects_unknown_keys() {
+        let text = sample().to_toml().replace("[validator]\n", "[validator]\nleader_timeout = 5\n");
+        let err = NodeConfig::parse(&text).unwrap_err();
+        assert!(err.contains("unknown key `leader_timeout` in [validator]"), "{err}");
+        let err =
+            NodeConfig::parse(&format!("{}\n[extra]\nx = 1\n", sample().to_toml())).unwrap_err();
+        assert!(err.contains("unknown key `extra`"), "{err}");
+    }
+
+    #[test]
+    fn rejects_ids_beyond_u16_instead_of_wrapping() {
+        // 65536 used to wrap to validator 0 and pass validation.
+        let text = sample().to_toml().replace("id = 2\n", "id = 65536\n");
+        let err = NodeConfig::parse(&text).unwrap_err();
+        assert!(err.contains("`id` in [node] must be a validator id"), "{err}");
+    }
+
+    #[test]
+    fn documented_example_parses() {
+        let doc = include_str!("../../../docs/node.md");
+        let example = doc
+            .split("```toml\n")
+            .nth(1)
+            .and_then(|rest| rest.split("```").next())
+            .expect("docs/node.md carries a ```toml config example");
+        let cfg = NodeConfig::parse(example).expect("the documented config parses");
+        assert_eq!(cfg.peers.len(), 4);
+        assert_eq!(cfg.schedule, "hammerhead");
     }
 
     #[test]

@@ -50,6 +50,7 @@
 mod engine;
 mod executor;
 mod json;
+pub mod schema;
 mod spec;
 pub mod toml;
 

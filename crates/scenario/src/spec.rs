@@ -9,6 +9,10 @@
 //! silently running the default. The full schema is documented in
 //! `docs/scenarios.md`.
 
+use crate::schema::{
+    self, key, table, tables, At, Axis, Codec, Field, List, Many, Reader, Rule::*, Schema, Visitor,
+    Writer,
+};
 use crate::toml::{self, TomlError, Value};
 use hammerhead::{HammerheadConfig, ScheduleConfig, ScoringRule};
 use hh_net::{
@@ -20,8 +24,8 @@ use hh_sim::{
     MAX_PAYLOAD_BYTES,
 };
 use hh_types::{Committee, Stake, ValidatorId, TX_HEADER_BYTES};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Anything that can go wrong turning scenario text into a run plan.
 #[derive(Clone, Debug)]
@@ -56,19 +60,21 @@ impl From<TomlError> for ScenarioError {
 }
 
 /// Which system a variant benchmarks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SystemSpec {
     /// Static stake-weighted round-robin Bullshark (the baseline).
     Bullshark,
     /// HammerHead reputation scheduling.
+    #[default]
     Hammerhead,
     /// One pinned leader (the §7 extreme; ablations only).
     StaticLeader,
 }
 
-impl SystemSpec {
-    fn parse(s: &str) -> Result<Self, ScenarioError> {
-        match s {
+impl Codec for SystemSpec {
+    type T = SystemSpec;
+    fn decode(v: &Value, at: &At<'_>) -> Result<Self, ScenarioError> {
+        match at.str(v)? {
             "bullshark" | "round-robin" => Ok(SystemSpec::Bullshark),
             "hammerhead" => Ok(SystemSpec::Hammerhead),
             "static-leader" => Ok(SystemSpec::StaticLeader),
@@ -77,7 +83,12 @@ impl SystemSpec {
             ))),
         }
     }
+    fn encode(x: &Self) -> Value {
+        Value::Str(x.label().into())
+    }
+}
 
+impl SystemSpec {
     /// The label used in output rows.
     pub fn label(self) -> &'static str {
         match self {
@@ -89,9 +100,10 @@ impl SystemSpec {
 }
 
 /// The link-latency model of a run.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum NetworkSpec {
     /// The paper's 13-region AWS matrix.
+    #[default]
     Geo,
     /// A flat network with the given constant one-way delay.
     Flat {
@@ -158,6 +170,35 @@ pub fn scoring_name(rule: ScoringRule) -> String {
     }
 }
 
+impl Codec for ScoringRule {
+    type T = ScoringRule;
+    fn decode(v: &Value, at: &At<'_>) -> Result<Self, ScenarioError> {
+        parse_scoring(at.str(v)?)
+    }
+    fn encode(x: &Self) -> Value {
+        Value::Str(scoring_name(*x))
+    }
+}
+
+impl Codec for SubmissionMode {
+    type T = SubmissionMode;
+    fn decode(v: &Value, at: &At<'_>) -> Result<Self, ScenarioError> {
+        match at.str(v)? {
+            "closed" => Ok(SubmissionMode::Closed),
+            "open" => Ok(SubmissionMode::Open),
+            other => Err(ScenarioError::Schema(format!(
+                "unknown workload mode `{other}` (expected closed or open)"
+            ))),
+        }
+    }
+    fn encode(x: &Self) -> Value {
+        Value::Str(match x {
+            SubmissionMode::Closed => "closed".into(),
+            SubmissionMode::Open => "open".into(),
+        })
+    }
+}
+
 /// A validator count: absolute, or derived from the committee size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CountExpr {
@@ -169,8 +210,9 @@ pub enum CountExpr {
     DivN(u64),
 }
 
-impl CountExpr {
-    fn parse(value: &Value) -> Result<Self, ScenarioError> {
+impl Codec for CountExpr {
+    type T = CountExpr;
+    fn decode(value: &Value, _: &At<'_>) -> Result<Self, ScenarioError> {
         match value {
             Value::Int(i) if *i >= 0 => Ok(CountExpr::Abs(*i as u64)),
             Value::Str(s) => {
@@ -190,7 +232,15 @@ impl CountExpr {
             ))),
         }
     }
+    fn encode(x: &Self) -> Value {
+        match *x {
+            CountExpr::Abs(k) => Value::Int(k as i64),
+            CountExpr::DivN(k) => Value::Str(format!("n/{k}")),
+        }
+    }
+}
 
+impl CountExpr {
     /// Resolves against a committee size.
     pub fn resolve(self, committee_size: usize) -> usize {
         match self {
@@ -198,17 +248,10 @@ impl CountExpr {
             CountExpr::DivN(k) => (committee_size / k as usize).max(1),
         }
     }
-
-    fn to_value(self) -> Value {
-        match self {
-            CountExpr::Abs(k) => Value::Int(k as i64),
-            CountExpr::DivN(k) => Value::Str(format!("n/{k}")),
-        }
-    }
 }
 
 /// One named system configuration under test.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct VariantSpec {
     /// Output label for this variant's rows.
     pub label: String,
@@ -234,6 +277,13 @@ pub enum WhenSpec {
     Frac(f64),
 }
 
+/// The start of the run.
+impl Default for WhenSpec {
+    fn default() -> Self {
+        WhenSpec::Secs(0)
+    }
+}
+
 impl WhenSpec {
     /// Resolves to microseconds of simulated time for a run of
     /// `duration_secs`.
@@ -254,8 +304,15 @@ pub enum NodeSel {
     First(CountExpr),
 }
 
+/// Nobody.
+impl Default for NodeSel {
+    fn default() -> Self {
+        NodeSel::Ids(Vec::new())
+    }
+}
+
 /// One slowdown window from the scenario's fault schedule.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SlowdownEntry {
     /// Affected validators.
     pub nodes: NodeSel,
@@ -269,7 +326,7 @@ pub struct SlowdownEntry {
 
 /// One timed crash or recovery event (`[[faults.crash]]` /
 /// `[[faults.recover]]`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimedFaultEntry {
     /// Affected validators.
     pub nodes: NodeSel,
@@ -292,8 +349,15 @@ pub enum PartitionSel {
     IsolateFirst(CountExpr),
 }
 
+/// No cut.
+impl Default for PartitionSel {
+    fn default() -> Self {
+        PartitionSel::Groups { a: Vec::new(), b: Vec::new() }
+    }
+}
+
 /// One partition window (`[[faults.partition]]`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PartitionEntry {
     /// The cut.
     pub sel: PartitionSel,
@@ -306,9 +370,10 @@ pub struct PartitionEntry {
 /// The strategy of one `[[faults.byzantine]]` entry — the declarative
 /// form of [`hh_sim::ByzantineStrategy`], with times in scenario units
 /// (ms delays, whole-second flip periods).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum ByzantineStrategySpec {
     /// Broadcast a conflicting twin before every own vertex.
+    #[default]
     Equivocate,
     /// Drop inbound vertex pushes from `targets`, forcing own proposals
     /// to wait for the slowest quorum.
@@ -331,7 +396,7 @@ pub enum ByzantineStrategySpec {
 }
 
 /// One byzantine window (`[[faults.byzantine]]`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ByzantineEntrySpec {
     /// The attacker.
     pub node: u16,
@@ -348,7 +413,7 @@ pub struct ByzantineEntrySpec {
 ///
 /// Scope defaults to every link; `node` narrows it to one validator's
 /// links (inbound and outbound), `link` to one directed pair.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosWindowSpec {
     /// Afflict only this validator's links, when set.
     pub node: Option<u16>,
@@ -397,9 +462,10 @@ pub struct FaultsSpec {
 /// The arrival process of a `[workload]` table or `[[workload.phase]]`
 /// entry — the declarative form of [`hh_sim::Arrival`], with rates as
 /// scales on the run's `[load] tps` axis.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum ArrivalSpec {
     /// Fixed-rate with ±10% jitter (the `[load] tps` sugar).
+    #[default]
     Constant,
     /// Exponential inter-arrivals at the same mean rate.
     Poisson,
@@ -430,8 +496,15 @@ pub enum RateSpec {
     Tps(u64),
 }
 
+/// The load axis's own rate.
+impl Default for RateSpec {
+    fn default() -> Self {
+        RateSpec::Scale(1.0)
+    }
+}
+
 /// One `[[workload.phase]]` entry.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkloadPhaseSpec {
     /// Phase start (`from_secs` / `from_frac`); the first phase must
     /// start at 0.
@@ -550,7 +623,7 @@ impl WorkloadSpec {
 }
 
 /// A named latency-measurement window over submission times.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WindowSpec {
     /// Window name in the report.
     pub name: String,
@@ -601,7 +674,7 @@ pub struct QuickSpec {
 }
 
 /// A fully parsed scenario file.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (used in output and by `hh-cli list`).
     pub name: String,
@@ -654,292 +727,705 @@ pub struct ScenarioSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Strict table reading
+// The schema: every key declared once
 // ---------------------------------------------------------------------------
+//
+// Plain keys are one `key::<Type>("name")` line each, with their default
+// and output rule; keys that depend on each other are the hand-written
+// `Field`s below the tables.
 
-fn check_keys(
-    table: &BTreeMap<String, Value>,
-    context: &str,
-    allowed: &[&str],
-) -> Result<(), ScenarioError> {
-    for key in table.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ScenarioError::Schema(format!(
-                "unknown key `{key}` in {context} (allowed: {})",
-                allowed.join(", ")
-            )));
+impl Schema for ScenarioSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(key::<String>("name"), &mut self.name, Required);
+        v.field(key::<String>("description"), &mut self.description, Omit(String::new));
+        v.opt(key::<String>("figure"), &mut self.figure);
+        v.section("committee", |v| {
+            v.field(
+                axis_pair::<usize>("size", "sizes"),
+                &mut self.committee_sizes,
+                Always(|| vec![10]),
+            )
+        });
+        v.section("load", |v| {
+            v.field(key::<Axis<u64>>("tps"), &mut self.load_tps, Always(|| vec![500]))
+        });
+        v.section("run", |v| {
+            v.field(
+                key::<Axis<u64>>("duration_secs"),
+                &mut self.duration_secs,
+                Always(|| vec![60]),
+            );
+            v.opt(key::<u64>("warmup_secs"), &mut self.warmup_secs);
+            v.field(axis_pair::<u64>("seed", "seeds"), &mut self.seeds, Always(|| vec![42]));
+            v.field(key::<u64>("gst_secs"), &mut self.gst_secs, Omit(|| 0));
+            v.field(key::<f64>("client_window_secs"), &mut self.client_window_secs, Omit(|| 2.0));
+        });
+        v.section("network", |v| v.field(Network, &mut self.network, Always(|| NetworkSpec::Geo)));
+        v.section("systems", |v| {
+            let hammerhead = || vec![SystemSpec::Hammerhead];
+            v.field(key::<Many<SystemSpec>>("run"), &mut self.systems, Always(hammerhead))
+        });
+        v.section("hammerhead", |v| {
+            v.field(
+                key::<Axis<u64>>("period_rounds"),
+                &mut self.period_rounds,
+                Always(|| vec![20]),
+            );
+            v.field(ExclusionAxis, &mut self.exclusion, Omit(|| vec![ExclusionSpec::F]));
+            let vote_based = || vec![ScoringRule::VoteBased];
+            v.field(key::<Many<ScoringRule>>("scoring"), &mut self.scoring, Omit(vote_based));
+            v.field(key::<u64>("schedule_seed"), &mut self.schedule_seed, Omit(|| 0));
+            v.field(key::<bool>("swap_from_base"), &mut self.swap_from_base, Omit(|| false));
+        });
+        v.field(DeclaredWorkload, &mut self.workload, Omit(WorkloadSpec::default));
+        v.field(tables("variant"), &mut self.variants, Omit(Vec::new));
+        v.field(table("faults"), &mut self.faults, Omit(FaultsSpec::default));
+        v.field(table("analysis"), &mut self.analysis, Omit(AnalysisSpec::default));
+        v.field(table("quick"), &mut self.quick, Omit(QuickSpec::default));
+    }
+}
+
+impl Schema for WorkloadSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(key::<SubmissionMode>("mode"), &mut self.mode, Always(|| SubmissionMode::Closed));
+        v.field(key::<u32>("payload_bytes"), &mut self.payload_bytes, Omit(|| 0));
+        v.field(key::<f64>("spread"), &mut self.spread, Omit(|| 1.0));
+        v.opt(key::<u64>("block_bytes"), &mut self.block_bytes);
+        v.field(ArrivalProcess, &mut self.arrival, Omit(|| ArrivalSpec::Constant));
+        v.field(tables("phase"), &mut self.phases, Omit(Vec::new));
+    }
+}
+
+impl Schema for WorkloadPhaseSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(FROM, &mut self.from, Omit(|| WhenSpec::Secs(0)));
+        v.field(ArrivalProcess, &mut self.arrival, Omit(|| ArrivalSpec::Constant));
+        v.field(Rate, &mut self.rate, Omit(|| RateSpec::Scale(1.0)));
+    }
+}
+
+impl Schema for VariantSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(key::<String>("label"), &mut self.label, Required);
+        v.field(key::<SystemSpec>("system"), &mut self.system, Always(|| SystemSpec::Hammerhead));
+        // Output names the pinned leader only where the system uses it.
+        let leader =
+            if self.system == SystemSpec::StaticLeader { Always(|| 0) } else { Omit(|| 0) };
+        v.field(key::<u16>("static_leader"), &mut self.static_leader, leader);
+        v.opt(key::<ScoringRule>("scoring"), &mut self.scoring);
+        v.opt(key::<u64>("period_rounds"), &mut self.period_rounds);
+        v.opt(VariantExclusion, &mut self.exclusion);
+    }
+}
+
+impl Schema for FaultsSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(key::<Many<u16>>("crashed"), &mut self.crashed, Omit(Vec::new));
+        v.opt(key::<CountExpr>("crash_last"), &mut self.crash_last);
+        v.field(tables("slowdown"), &mut self.slowdowns, Omit(Vec::new));
+        let mut timed = (std::mem::take(&mut self.crashes), std::mem::take(&mut self.recovers));
+        v.field(CrashesAndRecoveries, &mut timed, Always(Default::default));
+        (self.crashes, self.recovers) = timed;
+        v.field(tables("partition"), &mut self.partitions, Omit(Vec::new));
+        v.field(tables("byzantine"), &mut self.byzantine, Omit(Vec::new));
+        v.field(tables("chaos"), &mut self.chaos, Omit(Vec::new));
+    }
+}
+
+impl Schema for SlowdownEntry {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(Nodes, &mut self.nodes, Required);
+        v.field(AT, &mut self.at, Omit(|| WhenSpec::Secs(0)));
+        v.opt(UNTIL, &mut self.until);
+        v.field(key::<u64>("extra_ms"), &mut self.extra_ms, Required);
+    }
+}
+
+/// A `[[faults.recover]]` entry.
+impl Schema for TimedFaultEntry {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(Nodes, &mut self.nodes, Required);
+        v.field(AT, &mut self.at, Required);
+    }
+}
+
+/// A `[[faults.crash]]` entry: a [`TimedFaultEntry`] starting at 0 by
+/// default, plus the `recover_at_*` sugar for a recovery of the same
+/// nodes.
+#[derive(Clone, Default, PartialEq)]
+struct CrashEntry {
+    event: TimedFaultEntry,
+    recover_at: Option<WhenSpec>,
+}
+
+impl Schema for CrashEntry {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(Nodes, &mut self.event.nodes, Required);
+        v.field(AT, &mut self.event.at, Always(|| WhenSpec::Secs(0)));
+        v.opt(RECOVER_AT, &mut self.recover_at);
+    }
+}
+
+impl Schema for PartitionEntry {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(Cut, &mut self.sel, Required);
+        v.field(FROM, &mut self.from, Omit(|| WhenSpec::Secs(0)));
+        v.field(UNTIL, &mut self.until, Required);
+    }
+}
+
+impl Schema for ByzantineEntrySpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(key::<u16>("node"), &mut self.node, Required);
+        v.field(Strategy, &mut self.strategy, Required);
+        v.field(FROM, &mut self.from, Omit(|| WhenSpec::Secs(0)));
+        v.opt(UNTIL, &mut self.until);
+    }
+}
+
+impl Schema for ChaosWindowSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        let mut scope = (self.node, self.link);
+        v.field(Scope, &mut scope, Always(|| (None, None)));
+        (self.node, self.link) = scope;
+        v.field(FROM, &mut self.from, Omit(|| WhenSpec::Secs(0)));
+        v.opt(UNTIL, &mut self.until);
+        v.field(key::<f64>("drop"), &mut self.drop, Omit(|| 0.0));
+        v.field(key::<f64>("duplicate"), &mut self.duplicate, Omit(|| 0.0));
+        v.field(key::<f64>("corrupt"), &mut self.corrupt, Omit(|| 0.0));
+        v.field(key::<u64>("reorder_ms"), &mut self.reorder_ms, Omit(|| 0));
+    }
+}
+
+impl Schema for AnalysisSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(key::<bool>("skipped_rounds"), &mut self.skipped_rounds, Omit(|| false));
+        v.field(key::<bool>("schedule_churn"), &mut self.schedule_churn, Omit(|| false));
+        v.field(key::<bool>("reinclusion"), &mut self.reinclusion, Omit(|| false));
+        v.field(key::<bool>("adversary"), &mut self.adversary, Omit(|| false));
+        v.field(key::<bool>("chaos"), &mut self.chaos, Omit(|| false));
+        v.field(tables("window"), &mut self.windows, Omit(Vec::new));
+    }
+}
+
+impl Schema for WindowSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.field(key::<String>("name"), &mut self.name, Required);
+        v.field(key::<f64>("from_frac"), &mut self.from_frac, Always(|| 0.0));
+        v.field(key::<f64>("to_frac"), &mut self.to_frac, Always(|| 1.0));
+    }
+}
+
+impl Schema for QuickSpec {
+    fn visit(&mut self, v: &mut impl Visitor) {
+        v.opt(key::<Axis<usize>>("sizes"), &mut self.sizes);
+        v.opt(key::<Axis<u64>>("tps"), &mut self.tps);
+        v.opt(key::<Axis<u64>>("duration_secs"), &mut self.duration_secs);
+        v.opt(key::<Axis<u64>>("seeds"), &mut self.seeds);
+        v.opt(key::<Axis<u64>>("period_rounds"), &mut self.period_rounds);
+    }
+}
+
+// --- Keys that depend on each other --------------------------------------
+
+/// A sweep axis under a singular or a plural name (`size` / `sizes`),
+/// not both; output uses the plural.
+struct AxisPair<C>([&'static str; 2], PhantomData<C>);
+
+const fn axis_pair<C: Codec>(one: &'static str, many: &'static str) -> AxisPair<C> {
+    AxisPair([one, many], PhantomData)
+}
+
+impl<C: Codec> Field for AxisPair<C> {
+    type T = Vec<C::T>;
+    fn keys(&self) -> &[&'static str] {
+        &self.0
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<Vec<C::T>>, ScenarioError> {
+        let [one, many] = self.0;
+        match (r.get::<Axis<C>>(one)?, r.get::<Axis<C>>(many)?) {
+            (Some(_), Some(_)) => Err(ScenarioError::Schema(format!(
+                "set only one of `{one}` / `{many}` in {}",
+                r.ctx()
+            ))),
+            (xs, None) | (None, xs) => Ok(xs),
         }
     }
-    Ok(())
+    fn write(&self, xs: &Vec<C::T>, w: &mut Writer) {
+        w.put::<Axis<C>>(self.0[1], xs);
+    }
 }
 
-fn get_table<'a>(
-    table: &'a BTreeMap<String, Value>,
-    key: &str,
-) -> Result<Option<&'a BTreeMap<String, Value>>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Table(t)) => Ok(Some(t)),
-        Some(other) => {
-            Err(ScenarioError::Schema(format!("`{key}` must be a table, got {other:?}")))
+/// An instant: `<prefix>_secs` (simulated seconds) or `<prefix>_frac`
+/// (fraction of the run), not both.
+struct When([&'static str; 2]);
+
+const AT: When = When(["at_secs", "at_frac"]);
+const FROM: When = When(["from_secs", "from_frac"]);
+const UNTIL: When = When(["until_secs", "until_frac"]);
+const RECOVER_AT: When = When(["recover_at_secs", "recover_at_frac"]);
+
+impl Field for When {
+    type T = WhenSpec;
+    fn keys(&self) -> &[&'static str] {
+        &self.0
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<WhenSpec>, ScenarioError> {
+        let [secs, frac] = self.0;
+        match (r.get::<u64>(secs)?, r.get::<f64>(frac)?) {
+            (Some(s), None) => Ok(Some(WhenSpec::Secs(s))),
+            (None, Some(f)) => Ok(Some(WhenSpec::Frac(f))),
+            (None, None) => Ok(None),
+            _ => Err(ScenarioError::Schema(format!("{} sets both {secs} and {frac}", r.ctx()))),
+        }
+    }
+    fn write(&self, when: &WhenSpec, w: &mut Writer) {
+        match when {
+            WhenSpec::Secs(s) => w.put::<u64>(self.0[0], s),
+            WhenSpec::Frac(f) => w.put::<f64>(self.0[1], f),
         }
     }
 }
 
-fn get_str(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<String>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(other) => {
-            Err(ScenarioError::Schema(format!("`{context}.{key}` must be a string, got {other:?}")))
-        }
-    }
-}
+/// The validators a fault hits: `nodes` (id list) or `first` (count).
+struct Nodes;
 
-fn get_u64(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<u64>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}.{key}` must be a non-negative integer, got {other:?}"
-        ))),
+impl Field for Nodes {
+    type T = NodeSel;
+    fn keys(&self) -> &[&'static str] {
+        &["nodes", "first"]
     }
-}
-
-fn get_f64(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<f64>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Float(x)) => Ok(Some(*x)),
-        Some(Value::Int(i)) => Ok(Some(*i as f64)),
-        Some(other) => {
-            Err(ScenarioError::Schema(format!("`{context}.{key}` must be a number, got {other:?}")))
-        }
-    }
-}
-
-fn get_bool(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<bool>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}.{key}` must be a boolean, got {other:?}"
-        ))),
-    }
-}
-
-/// Reads a scalar-or-list axis of non-negative integers.
-fn get_u64_axis(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<Vec<u64>>, ScenarioError> {
-    let to_u64 = |v: &Value| -> Result<u64, ScenarioError> {
-        match v {
-            Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            other => Err(ScenarioError::Schema(format!(
-                "`{context}.{key}` entries must be non-negative integers, got {other:?}"
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<NodeSel>, ScenarioError> {
+        match (r.get::<List<u16>>("nodes")?, r.get::<CountExpr>("first")?) {
+            (Some(ids), None) => Ok(Some(NodeSel::Ids(ids))),
+            (None, Some(count)) => Ok(Some(NodeSel::First(count))),
+            _ => Err(ScenarioError::Schema(format!(
+                "{} needs exactly one of `nodes` (id list) or `first` (count)",
+                r.ctx()
             ))),
         }
-    };
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Array(items)) => {
-            if items.is_empty() {
-                return Err(ScenarioError::Schema(format!("`{context}.{key}` must not be empty")));
-            }
-            Ok(Some(items.iter().map(to_u64).collect::<Result<_, _>>()?))
+    }
+    fn write(&self, sel: &NodeSel, w: &mut Writer) {
+        match sel {
+            NodeSel::Ids(ids) => w.put::<List<u16>>("nodes", ids),
+            NodeSel::First(count) => w.put::<CountExpr>("first", count),
         }
-        Some(v) => Ok(Some(vec![to_u64(v)?])),
     }
 }
 
-fn get_str_axis(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<Vec<String>>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(vec![s.clone()])),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => Ok(s.clone()),
-                other => Err(ScenarioError::Schema(format!(
-                    "`{context}.{key}` entries must be strings, got {other:?}"
-                ))),
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}.{key}` must be a string or list of strings, got {other:?}"
+/// `[network]`: `model`, with `flat_ms` only for the flat model.
+struct Network;
+
+impl Field for Network {
+    type T = NetworkSpec;
+    fn keys(&self) -> &[&'static str] {
+        &["model", "flat_ms"]
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<NetworkSpec>, ScenarioError> {
+        match (r.str("model")?.unwrap_or("geo"), r.get::<u64>("flat_ms")?) {
+            ("geo", None) => Ok(Some(NetworkSpec::Geo)),
+            ("geo", Some(_)) => Err(ScenarioError::Schema(
+                "`network.flat_ms` only applies to model = \"flat\"".into(),
+            )),
+            ("flat", ms) => Ok(Some(NetworkSpec::Flat { ms: ms.unwrap_or(5) })),
+            (other, _) => Err(ScenarioError::Schema(format!(
+                "unknown network model `{other}` (expected geo or flat)"
+            ))),
+        }
+    }
+    fn write(&self, network: &NetworkSpec, w: &mut Writer) {
+        match network {
+            NetworkSpec::Geo => w.put::<String>("model", &"geo".into()),
+            NetworkSpec::Flat { ms } => {
+                w.put::<String>("model", &"flat".into());
+                w.put::<u64>("flat_ms", ms);
+            }
+        }
+    }
+}
+
+/// An exclusion budget as read: the variant its key selects, and the value.
+type Budget<T> = (fn(u64) -> ExclusionSpec, T);
+
+/// The exclusion budget as `max_excluded_pct` or `max_excluded_stake`,
+/// not both, each read as `C`; `None` when neither is set.
+fn read_budget<C: Codec>(r: &Reader<'_>) -> Result<Option<Budget<C::T>>, ScenarioError> {
+    match (r.get::<C>(BUDGET_KEYS[0])?, r.get::<C>(BUDGET_KEYS[1])?) {
+        (Some(_), Some(_)) => Err(ScenarioError::Schema(format!(
+            "set only one of `max_excluded_pct` / `max_excluded_stake` in {}",
+            r.ctx()
         ))),
-    }
-}
-
-/// Reads the entries of an array-of-tables key (`[[faults.crash]]`
-/// style); absent keys yield an empty list.
-fn get_entry_tables<'a>(
-    table: &'a BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Vec<&'a BTreeMap<String, Value>>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(Vec::new()),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|item| {
-                item.as_table().ok_or_else(|| {
-                    ScenarioError::Schema(format!("{context} entries must be tables"))
-                })
-            })
-            .collect(),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}` must be an array of tables, got {other:?}"
-        ))),
-    }
-}
-
-/// Reads the `nodes` (id list) / `first` (count) validator selector of a
-/// fault entry.
-fn get_node_sel(table: &BTreeMap<String, Value>, context: &str) -> Result<NodeSel, ScenarioError> {
-    match (table.get("nodes"), table.get("first")) {
-        (Some(Value::Array(ids)), None) => Ok(NodeSel::Ids(
-            ids.iter()
-                .map(|v| match v {
-                    Value::Int(i) if *i >= 0 => Ok(*i as u16),
-                    other => Err(ScenarioError::Schema(format!(
-                        "bad validator id {other:?} in {context}.nodes"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?,
-        )),
-        (None, Some(v)) => Ok(NodeSel::First(CountExpr::parse(v)?)),
-        _ => Err(ScenarioError::Schema(format!(
-            "{context} needs exactly one of `nodes` (id list) or `first` (count)"
-        ))),
-    }
-}
-
-/// Reads an optional `<prefix>_secs` / `<prefix>_frac` instant.
-fn get_when(
-    table: &BTreeMap<String, Value>,
-    prefix: &str,
-    context: &str,
-) -> Result<Option<WhenSpec>, ScenarioError> {
-    let secs_key = format!("{prefix}_secs");
-    let frac_key = format!("{prefix}_frac");
-    match (get_u64(table, &secs_key, context)?, get_f64(table, &frac_key, context)?) {
-        (Some(secs), None) => Ok(Some(WhenSpec::Secs(secs))),
-        (None, Some(frac)) => Ok(Some(WhenSpec::Frac(frac))),
+        (Some(pct), None) => Ok(Some((ExclusionSpec::Pct, pct))),
+        (None, Some(stake)) => Ok(Some((ExclusionSpec::Stake, stake))),
         (None, None) => Ok(None),
-        _ => Err(ScenarioError::Schema(format!("{context} sets both {secs_key} and {frac_key}"))),
     }
 }
 
-/// Reads an optional list of validator ids.
-fn get_id_list(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<Vec<u16>>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Array(ids)) => ids
+const BUDGET_KEYS: [&str; 2] = ["max_excluded_pct", "max_excluded_stake"];
+
+/// `[hammerhead]`'s exclusion-budget axis; neither key means `f`.
+struct ExclusionAxis;
+
+impl Field for ExclusionAxis {
+    type T = Vec<ExclusionSpec>;
+    fn keys(&self) -> &[&'static str] {
+        &BUDGET_KEYS
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<Vec<ExclusionSpec>>, ScenarioError> {
+        Ok(read_budget::<Axis<u64>>(r)?.map(|(lift, xs)| xs.into_iter().map(lift).collect()))
+    }
+    fn write(&self, xs: &Vec<ExclusionSpec>, w: &mut Writer) {
+        let pcts: Option<Vec<u64>> = xs
             .iter()
-            .map(|v| match v {
-                Value::Int(i) if *i >= 0 => Ok(*i as u16),
-                other => Err(ScenarioError::Schema(format!(
-                    "bad validator id {other:?} in {context}.{key}"
+            .map(|x| if let ExclusionSpec::Pct(p) = x { Some(*p) } else { None })
+            .collect();
+        let stakes: Option<Vec<u64>> = xs
+            .iter()
+            .map(|x| if let ExclusionSpec::Stake(s) = x { Some(*s) } else { None })
+            .collect();
+        match (pcts, stakes) {
+            (Some(pcts), _) => w.put::<Axis<u64>>(BUDGET_KEYS[0], &pcts),
+            (None, Some(stakes)) => w.put::<Axis<u64>>(BUDGET_KEYS[1], &stakes),
+            (None, None) => panic!("mixed exclusion axis {xs:?}"),
+        }
+    }
+}
+
+/// A `[[variant]]`'s exclusion-budget override.
+struct VariantExclusion;
+
+impl Field for VariantExclusion {
+    type T = ExclusionSpec;
+    fn keys(&self) -> &[&'static str] {
+        &BUDGET_KEYS
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<ExclusionSpec>, ScenarioError> {
+        Ok(read_budget::<u64>(r)?.map(|(lift, x)| lift(x)))
+    }
+    fn write(&self, x: &ExclusionSpec, w: &mut Writer) {
+        match x {
+            ExclusionSpec::Pct(p) => w.put::<u64>(BUDGET_KEYS[0], p),
+            ExclusionSpec::Stake(s) => w.put::<u64>(BUDGET_KEYS[1], s),
+            ExclusionSpec::F => {}
+        }
+    }
+}
+
+/// `[workload]` itself: declaring the table, even empty, adds the
+/// report's workload block.
+struct DeclaredWorkload;
+
+impl Field for DeclaredWorkload {
+    type T = WorkloadSpec;
+    fn keys(&self) -> &[&'static str] {
+        &["workload"]
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<WorkloadSpec>, ScenarioError> {
+        Ok(r.table::<WorkloadSpec>("workload")?.map(|w| WorkloadSpec { declared: true, ..w }))
+    }
+    fn write(&self, workload: &WorkloadSpec, w: &mut Writer) {
+        if workload.declared {
+            w.put_table("workload", workload);
+        }
+    }
+}
+
+/// The keys of an arrival process: its name, then every process's
+/// parameters.
+const ARRIVAL_KEYS: [&str; 5] =
+    ["arrival", "burst_secs", "idle_secs", "ramp_from_scale", "ramp_to_scale"];
+
+/// The arrival process of `[workload]` or a `[[workload.phase]]`: only
+/// the named process's parameters may appear, a ramp phase takes no
+/// `scale` or `tps`, and `[workload]` takes none of them beside a phase
+/// timeline.
+struct ArrivalProcess;
+
+impl Field for ArrivalProcess {
+    type T = ArrivalSpec;
+    fn keys(&self) -> &[&'static str] {
+        &ARRIVAL_KEYS
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<ArrivalSpec>, ScenarioError> {
+        if r.has("phase") {
+            return match ARRIVAL_KEYS.iter().find(|k| r.has(k)) {
+                Some(key) => Err(ScenarioError::Schema(format!(
+                    "`{key}` in {} conflicts with an explicit [[workload.phase]] timeline",
+                    r.ctx()
                 ))),
+                None => Ok(None),
+            };
+        }
+        let name = r.str("arrival")?.unwrap_or("constant");
+        let forbid = |keys: &[&str]| match keys.iter().find(|k| r.has(k)) {
+            Some(key) => Err(ScenarioError::Schema(format!(
+                "`{key}` in {} does not apply to arrival = \"{name}\"",
+                r.ctx()
+            ))),
+            None => Ok(()),
+        };
+        let require = |key: &'static str| -> Result<f64, ScenarioError> {
+            r.get::<f64>(key)?.ok_or_else(|| {
+                ScenarioError::Schema(format!("{} arrival = \"{name}\" requires {key}", r.ctx()))
             })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}.{key}` must be a list of validator ids, got {other:?}"
-        ))),
-    }
-}
-
-/// Keys that configure an arrival process, shared by `[workload]` and
-/// `[[workload.phase]]`.
-const ARRIVAL_PARAM_KEYS: &[&str] =
-    &["burst_secs", "idle_secs", "ramp_from_scale", "ramp_to_scale"];
-
-/// Reads the arrival process of a `[workload]` table or phase entry.
-fn get_arrival(
-    table: &BTreeMap<String, Value>,
-    context: &str,
-) -> Result<ArrivalSpec, ScenarioError> {
-    let name = get_str(table, "arrival", context)?.unwrap_or_else(|| "constant".into());
-    let forbid = |keys: &[&str]| -> Result<(), ScenarioError> {
-        for key in keys {
-            if table.contains_key(*key) {
-                return Err(ScenarioError::Schema(format!(
-                    "`{context}.{key}` does not apply to arrival = \"{name}\""
-                )));
+        };
+        let arrival = match name {
+            "constant" | "poisson" => {
+                forbid(&ARRIVAL_KEYS[1..])?;
+                if name == "constant" {
+                    ArrivalSpec::Constant
+                } else {
+                    ArrivalSpec::Poisson
+                }
             }
-        }
-        Ok(())
-    };
-    match name.as_str() {
-        "constant" => {
-            forbid(ARRIVAL_PARAM_KEYS)?;
-            Ok(ArrivalSpec::Constant)
-        }
-        "poisson" => {
-            forbid(ARRIVAL_PARAM_KEYS)?;
-            Ok(ArrivalSpec::Poisson)
-        }
-        "onoff" => {
-            forbid(&["ramp_from_scale", "ramp_to_scale"])?;
-            let burst_secs = get_f64(table, "burst_secs", context)?.ok_or_else(|| {
-                ScenarioError::Schema(format!("{context} arrival = \"onoff\" requires burst_secs"))
-            })?;
-            let idle_secs = get_f64(table, "idle_secs", context)?.ok_or_else(|| {
-                ScenarioError::Schema(format!("{context} arrival = \"onoff\" requires idle_secs"))
-            })?;
-            Ok(ArrivalSpec::OnOff { burst_secs, idle_secs })
-        }
-        "ramp" => {
-            forbid(&["burst_secs", "idle_secs"])?;
-            let to_scale = get_f64(table, "ramp_to_scale", context)?.ok_or_else(|| {
-                ScenarioError::Schema(format!(
-                    "{context} arrival = \"ramp\" requires ramp_to_scale"
-                ))
-            })?;
-            Ok(ArrivalSpec::Ramp {
-                from_scale: get_f64(table, "ramp_from_scale", context)?.unwrap_or(0.0),
-                to_scale,
-            })
-        }
-        other => Err(ScenarioError::Schema(format!(
-            "unknown arrival process `{other}` (expected constant, poisson, onoff or ramp)"
-        ))),
+            "onoff" => {
+                forbid(&ARRIVAL_KEYS[3..])?;
+                ArrivalSpec::OnOff {
+                    burst_secs: require("burst_secs")?,
+                    idle_secs: require("idle_secs")?,
+                }
+            }
+            "ramp" => {
+                forbid(&ARRIVAL_KEYS[1..3])?;
+                if r.has("scale") || r.has("tps") {
+                    return Err(ScenarioError::Schema(
+                        "ramp phases take ramp_from_scale / ramp_to_scale, not scale or tps".into(),
+                    ));
+                }
+                let to_scale = require("ramp_to_scale")?;
+                ArrivalSpec::Ramp {
+                    from_scale: r.get::<f64>("ramp_from_scale")?.unwrap_or(0.0),
+                    to_scale,
+                }
+            }
+            other => {
+                return Err(ScenarioError::Schema(format!(
+                    "unknown arrival process `{other}` (expected constant, poisson, onoff or ramp)"
+                )))
+            }
+        };
+        Ok(Some(arrival))
+    }
+    fn write(&self, arrival: &ArrivalSpec, w: &mut Writer) {
+        let name = match *arrival {
+            ArrivalSpec::Constant => return,
+            ArrivalSpec::Poisson => "poisson",
+            ArrivalSpec::OnOff { burst_secs, idle_secs } => {
+                w.put::<f64>("burst_secs", &burst_secs);
+                w.put::<f64>("idle_secs", &idle_secs);
+                "onoff"
+            }
+            ArrivalSpec::Ramp { from_scale, to_scale } => {
+                if from_scale != 0.0 {
+                    w.put::<f64>("ramp_from_scale", &from_scale);
+                }
+                w.put::<f64>("ramp_to_scale", &to_scale);
+                "ramp"
+            }
+        };
+        w.put::<String>("arrival", &name.into());
     }
 }
 
-fn axis_u64_value(xs: &[u64]) -> Value {
-    if xs.len() == 1 {
-        Value::Int(xs[0] as i64)
-    } else {
-        Value::Array(xs.iter().map(|x| Value::Int(*x as i64)).collect())
+/// A phase's rate: `scale` or `tps`, not both ([`ArrivalProcess`]
+/// rejects either beside a ramp, which carries its own scales).
+struct Rate;
+
+impl Field for Rate {
+    type T = RateSpec;
+    fn keys(&self) -> &[&'static str] {
+        &["scale", "tps"]
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<RateSpec>, ScenarioError> {
+        match (r.get::<f64>("scale")?, r.get::<u64>("tps")?) {
+            (Some(_), Some(_)) => {
+                Err(ScenarioError::Schema(format!("{} sets both `scale` and `tps`", r.ctx())))
+            }
+            (Some(s), None) => Ok(Some(RateSpec::Scale(s))),
+            (None, Some(t)) => Ok(Some(RateSpec::Tps(t))),
+            (None, None) => Ok(None),
+        }
+    }
+    fn write(&self, rate: &RateSpec, w: &mut Writer) {
+        match rate {
+            RateSpec::Scale(s) => w.put::<f64>("scale", s),
+            RateSpec::Tps(t) => w.put::<u64>("tps", t),
+        }
+    }
+}
+
+/// `[[faults.crash]]` and `[[faults.recover]]`: a crash's
+/// `recover_at_*` sugar joins the recoveries after the explicit ones.
+struct CrashesAndRecoveries;
+
+impl Field for CrashesAndRecoveries {
+    type T = (Vec<TimedFaultEntry>, Vec<TimedFaultEntry>);
+    fn keys(&self) -> &[&'static str] {
+        &["crash", "recover"]
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<Self::T>, ScenarioError> {
+        let mut recovers = r.tables::<TimedFaultEntry>("recover")?.unwrap_or_default();
+        let mut crashes = Vec::new();
+        for crash in r.tables::<CrashEntry>("crash")?.unwrap_or_default() {
+            if let Some(at) = crash.recover_at {
+                recovers.push(TimedFaultEntry { nodes: crash.event.nodes.clone(), at });
+            }
+            crashes.push(crash.event);
+        }
+        Ok(Some((crashes, recovers)))
+    }
+    fn write(&self, (crashes, recovers): &Self::T, w: &mut Writer) {
+        let crashes: Vec<CrashEntry> =
+            crashes.iter().map(|e| CrashEntry { event: e.clone(), recover_at: None }).collect();
+        w.put_tables("crash", &crashes);
+        w.put_tables("recover", recovers);
+    }
+}
+
+/// A partition's cut: both `a` and `b` id lists, or `isolate_first`.
+struct Cut;
+
+impl Field for Cut {
+    type T = PartitionSel;
+    fn keys(&self) -> &[&'static str] {
+        &["a", "b", "isolate_first"]
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<PartitionSel>, ScenarioError> {
+        let groups = (r.get::<List<u16>>("a")?, r.get::<List<u16>>("b")?);
+        match (groups, r.get::<CountExpr>("isolate_first")?) {
+            ((Some(a), Some(b)), None) => Ok(Some(PartitionSel::Groups { a, b })),
+            ((None, None), Some(count)) => Ok(Some(PartitionSel::IsolateFirst(count))),
+            _ => Err(ScenarioError::Schema(format!(
+                "{} needs either both `a` and `b` id lists or `isolate_first` (count)",
+                r.ctx()
+            ))),
+        }
+    }
+    fn write(&self, sel: &PartitionSel, w: &mut Writer) {
+        match sel {
+            PartitionSel::Groups { a, b } => {
+                w.put::<List<u16>>("a", a);
+                w.put::<List<u16>>("b", b);
+            }
+            PartitionSel::IsolateFirst(count) => w.put::<CountExpr>("isolate_first", count),
+        }
+    }
+}
+
+/// A byzantine `strategy` with exactly the parameters it takes.
+struct Strategy;
+
+impl Field for Strategy {
+    type T = ByzantineStrategySpec;
+    fn keys(&self) -> &[&'static str] {
+        &["strategy", "targets", "delay_ms", "flip_secs"]
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<ByzantineStrategySpec>, ScenarioError> {
+        let name = r
+            .str("strategy")?
+            .ok_or_else(|| ScenarioError::Schema(format!("{} requires `strategy`", r.ctx())))?;
+        let targets = r.get::<List<u16>>("targets")?;
+        let delay_ms = r.get::<u64>("delay_ms")?;
+        let flip_secs = r.get::<u64>("flip_secs")?;
+        let forbid = |key: &str, present: bool| {
+            if present {
+                Err(ScenarioError::Schema(format!(
+                    "`{key}` does not apply to the `{name}` strategy"
+                )))
+            } else {
+                Ok(())
+            }
+        };
+        let require =
+            |key: &str| ScenarioError::Schema(format!("the `{name}` strategy requires `{key}`"));
+        let strategy = match name {
+            "equivocate" => {
+                forbid("targets", targets.is_some())?;
+                forbid("delay_ms", delay_ms.is_some())?;
+                forbid("flip_secs", flip_secs.is_some())?;
+                ByzantineStrategySpec::Equivocate
+            }
+            "withhold_votes" => {
+                forbid("delay_ms", delay_ms.is_some())?;
+                forbid("flip_secs", flip_secs.is_some())?;
+                ByzantineStrategySpec::WithholdVotes {
+                    targets: targets.ok_or_else(|| require("targets"))?,
+                }
+            }
+            "lazy_leader" => {
+                forbid("targets", targets.is_some())?;
+                forbid("flip_secs", flip_secs.is_some())?;
+                ByzantineStrategySpec::LazyLeader {
+                    delay_ms: delay_ms.ok_or_else(|| require("delay_ms"))?,
+                }
+            }
+            "flip_flop" => {
+                forbid("targets", targets.is_some())?;
+                ByzantineStrategySpec::FlipFlop {
+                    flip_secs: flip_secs.ok_or_else(|| require("flip_secs"))?,
+                    delay_ms: delay_ms.ok_or_else(|| require("delay_ms"))?,
+                }
+            }
+            other => {
+                return Err(ScenarioError::Schema(format!(
+                    "unknown byzantine strategy `{other}` (expected equivocate, \
+                     withhold_votes, lazy_leader or flip_flop)"
+                )))
+            }
+        };
+        Ok(Some(strategy))
+    }
+    fn write(&self, strategy: &ByzantineStrategySpec, w: &mut Writer) {
+        let name = match strategy {
+            ByzantineStrategySpec::Equivocate => "equivocate",
+            ByzantineStrategySpec::WithholdVotes { targets } => {
+                w.put::<List<u16>>("targets", targets);
+                "withhold_votes"
+            }
+            ByzantineStrategySpec::LazyLeader { delay_ms } => {
+                w.put::<u64>("delay_ms", delay_ms);
+                "lazy_leader"
+            }
+            ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => {
+                w.put::<u64>("delay_ms", delay_ms);
+                w.put::<u64>("flip_secs", flip_secs);
+                "flip_flop"
+            }
+        };
+        w.put::<String>("strategy", &name.into());
+    }
+}
+
+/// A chaos window's scope: every link by default, one validator's links
+/// with `node`, or one directed pair with `from` + `to`.
+struct Scope;
+
+impl Field for Scope {
+    type T = (Option<u16>, Option<(u16, u16)>);
+    fn keys(&self) -> &[&'static str] {
+        &["node", "from", "to"]
+    }
+    fn read(&self, r: &mut Reader<'_>) -> Result<Option<Self::T>, ScenarioError> {
+        let node = r.get::<u16>("node")?;
+        match (node, r.get::<u16>("from")?, r.get::<u16>("to")?) {
+            (_, None, None) => Ok(Some((node, None))),
+            (None, Some(from), Some(to)) => Ok(Some((None, Some((from, to))))),
+            _ => Err(ScenarioError::Schema(
+                "[[faults.chaos]] afflicts all links by default; narrow it \
+                 with either `node` or the directed pair `from` + `to`, \
+                 not a mix"
+                    .into(),
+            )),
+        }
+    }
+    fn write(&self, (node, link): &Self::T, w: &mut Writer) {
+        if let Some(node) = node {
+            w.put::<u16>("node", node);
+        }
+        if let Some((from, to)) = link {
+            w.put::<u16>("from", from);
+            w.put::<u16>("to", to);
+        }
     }
 }
 
@@ -955,724 +1441,8 @@ impl ScenarioSpec {
 
     /// Builds a spec from an already-parsed TOML document (the hook
     /// `hh-cli --set` uses to patch knobs before schema validation).
-    pub fn from_value(root_value: &Value) -> Result<Self, ScenarioError> {
-        let root = root_value
-            .as_table()
-            .ok_or_else(|| ScenarioError::Schema("scenario root must be a table".into()))?;
-        check_keys(
-            root,
-            "the scenario root",
-            &[
-                "name",
-                "description",
-                "figure",
-                "committee",
-                "load",
-                "run",
-                "network",
-                "systems",
-                "hammerhead",
-                "workload",
-                "variant",
-                "faults",
-                "analysis",
-                "quick",
-            ],
-        )?;
-
-        let name = get_str(root, "name", "scenario")?
-            .ok_or_else(|| ScenarioError::Schema("missing required key `name`".into()))?;
-        let description = get_str(root, "description", "scenario")?.unwrap_or_default();
-        let figure = get_str(root, "figure", "scenario")?;
-
-        // [committee]
-        let committee = get_table(root, "committee")?;
-        let committee_sizes = match committee {
-            Some(t) => {
-                check_keys(t, "[committee]", &["size", "sizes"])?;
-                if t.contains_key("size") && t.contains_key("sizes") {
-                    return Err(ScenarioError::Schema(
-                        "set only one of committee.size / committee.sizes".into(),
-                    ));
-                }
-                let axis = get_u64_axis(t, "sizes", "committee")?.or(get_u64_axis(
-                    t,
-                    "size",
-                    "committee",
-                )?);
-                axis.map(|xs| xs.into_iter().map(|x| x as usize).collect())
-                    .unwrap_or_else(|| vec![10])
-            }
-            None => vec![10],
-        };
-
-        // [load]
-        let load_tps = match get_table(root, "load")? {
-            Some(t) => {
-                check_keys(t, "[load]", &["tps"])?;
-                get_u64_axis(t, "tps", "load")?.unwrap_or_else(|| vec![500])
-            }
-            None => vec![500],
-        };
-
-        // [run]
-        let (duration_secs, warmup_secs, seeds, gst_secs, client_window_secs) =
-            match get_table(root, "run")? {
-                Some(t) => {
-                    check_keys(
-                        t,
-                        "[run]",
-                        &[
-                            "duration_secs",
-                            "warmup_secs",
-                            "seed",
-                            "seeds",
-                            "gst_secs",
-                            "client_window_secs",
-                        ],
-                    )?;
-                    if t.contains_key("seed") && t.contains_key("seeds") {
-                        return Err(ScenarioError::Schema(
-                            "set only one of run.seed / run.seeds".into(),
-                        ));
-                    }
-                    (
-                        get_u64_axis(t, "duration_secs", "run")?.unwrap_or_else(|| vec![60]),
-                        get_u64(t, "warmup_secs", "run")?,
-                        get_u64_axis(t, "seeds", "run")?
-                            .or(get_u64_axis(t, "seed", "run")?)
-                            .unwrap_or_else(|| vec![42]),
-                        get_u64(t, "gst_secs", "run")?.unwrap_or(0),
-                        get_f64(t, "client_window_secs", "run")?.unwrap_or(2.0),
-                    )
-                }
-                None => (vec![60], None, vec![42], 0, 2.0),
-            };
-
-        // [network]
-        let network = match get_table(root, "network")? {
-            Some(t) => {
-                check_keys(t, "[network]", &["model", "flat_ms"])?;
-                let model = get_str(t, "model", "network")?.unwrap_or_else(|| "geo".into());
-                match model.as_str() {
-                    "geo" => {
-                        if t.contains_key("flat_ms") {
-                            return Err(ScenarioError::Schema(
-                                "`network.flat_ms` only applies to model = \"flat\"".into(),
-                            ));
-                        }
-                        NetworkSpec::Geo
-                    }
-                    "flat" => {
-                        NetworkSpec::Flat { ms: get_u64(t, "flat_ms", "network")?.unwrap_or(5) }
-                    }
-                    other => {
-                        return Err(ScenarioError::Schema(format!(
-                            "unknown network model `{other}` (expected geo or flat)"
-                        )))
-                    }
-                }
-            }
-            None => NetworkSpec::Geo,
-        };
-
-        // [systems]
-        let systems = match get_table(root, "systems")? {
-            Some(t) => {
-                check_keys(t, "[systems]", &["run"])?;
-                get_str_axis(t, "run", "systems")?
-                    .unwrap_or_else(|| vec!["hammerhead".into()])
-                    .iter()
-                    .map(|s| SystemSpec::parse(s))
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-            None => vec![SystemSpec::Hammerhead],
-        };
-
-        // [hammerhead]
-        let (period_rounds, exclusion, scoring, schedule_seed, swap_from_base) =
-            match get_table(root, "hammerhead")? {
-                Some(t) => {
-                    check_keys(
-                        t,
-                        "[hammerhead]",
-                        &[
-                            "period_rounds",
-                            "max_excluded_pct",
-                            "max_excluded_stake",
-                            "scoring",
-                            "schedule_seed",
-                            "swap_from_base",
-                        ],
-                    )?;
-                    let pct = get_u64_axis(t, "max_excluded_pct", "hammerhead")?;
-                    let stake = get_u64_axis(t, "max_excluded_stake", "hammerhead")?;
-                    if pct.is_some() && stake.is_some() {
-                        return Err(ScenarioError::Schema(
-                            "set only one of hammerhead.max_excluded_pct / max_excluded_stake"
-                                .into(),
-                        ));
-                    }
-                    let exclusion = match (pct, stake) {
-                        (Some(ps), _) => ps.into_iter().map(ExclusionSpec::Pct).collect(),
-                        (_, Some(ss)) => ss.into_iter().map(ExclusionSpec::Stake).collect(),
-                        _ => vec![ExclusionSpec::F],
-                    };
-                    let scoring = get_str_axis(t, "scoring", "hammerhead")?
-                        .unwrap_or_else(|| vec!["vote-based".into()])
-                        .iter()
-                        .map(|s| parse_scoring(s))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    (
-                        get_u64_axis(t, "period_rounds", "hammerhead")?.unwrap_or_else(|| vec![20]),
-                        exclusion,
-                        scoring,
-                        get_u64(t, "schedule_seed", "hammerhead")?.unwrap_or(0),
-                        get_bool(t, "swap_from_base", "hammerhead")?.unwrap_or(false),
-                    )
-                }
-                None => (vec![20], vec![ExclusionSpec::F], vec![ScoringRule::VoteBased], 0, false),
-            };
-
-        // [workload]
-        let workload = match get_table(root, "workload")? {
-            Some(t) => {
-                check_keys(
-                    t,
-                    "[workload]",
-                    &[
-                        "arrival",
-                        "mode",
-                        "payload_bytes",
-                        "spread",
-                        "block_bytes",
-                        "burst_secs",
-                        "idle_secs",
-                        "ramp_from_scale",
-                        "ramp_to_scale",
-                        "phase",
-                    ],
-                )?;
-                let mode = match get_str(t, "mode", "workload")?.as_deref() {
-                    None | Some("closed") => SubmissionMode::Closed,
-                    Some("open") => SubmissionMode::Open,
-                    Some(other) => {
-                        return Err(ScenarioError::Schema(format!(
-                            "unknown workload mode `{other}` (expected closed or open)"
-                        )))
-                    }
-                };
-                let payload_bytes = match get_u64(t, "payload_bytes", "workload")? {
-                    Some(b) if b > MAX_PAYLOAD_BYTES as u64 => {
-                        return Err(ScenarioError::Invalid(format!(
-                            "workload payload_bytes {b} exceeds the {MAX_PAYLOAD_BYTES}-byte cap"
-                        )))
-                    }
-                    Some(b) => b as u32,
-                    None => 0,
-                };
-                let mut phases = Vec::new();
-                for p in get_entry_tables(t, "phase", "[[workload.phase]]")? {
-                    check_keys(
-                        p,
-                        "[[workload.phase]]",
-                        &[
-                            "from_secs",
-                            "from_frac",
-                            "scale",
-                            "tps",
-                            "arrival",
-                            "burst_secs",
-                            "idle_secs",
-                            "ramp_from_scale",
-                            "ramp_to_scale",
-                        ],
-                    )?;
-                    let arrival = get_arrival(p, "[[workload.phase]]")?;
-                    let scale = get_f64(p, "scale", "workload.phase")?;
-                    let tps = get_u64(p, "tps", "workload.phase")?;
-                    if matches!(arrival, ArrivalSpec::Ramp { .. })
-                        && (scale.is_some() || tps.is_some())
-                    {
-                        return Err(ScenarioError::Schema(
-                            "ramp phases take ramp_from_scale / ramp_to_scale, not scale or tps"
-                                .into(),
-                        ));
-                    }
-                    let rate = match (scale, tps) {
-                        (Some(_), Some(_)) => {
-                            return Err(ScenarioError::Schema(
-                                "[[workload.phase]] sets both `scale` and `tps`".into(),
-                            ))
-                        }
-                        (Some(s), None) => RateSpec::Scale(s),
-                        (None, Some(t)) => RateSpec::Tps(t),
-                        (None, None) => RateSpec::Scale(1.0),
-                    };
-                    phases.push(WorkloadPhaseSpec {
-                        from: get_when(p, "from", "[[workload.phase]]")?
-                            .unwrap_or(WhenSpec::Secs(0)),
-                        rate,
-                        arrival,
-                    });
-                }
-                if !phases.is_empty() {
-                    for key in ["arrival"].iter().chain(ARRIVAL_PARAM_KEYS) {
-                        if t.contains_key(*key) {
-                            return Err(ScenarioError::Schema(format!(
-                                "`workload.{key}` conflicts with an explicit \
-                                 [[workload.phase]] timeline"
-                            )));
-                        }
-                    }
-                }
-                let arrival = if phases.is_empty() {
-                    get_arrival(t, "[workload]")?
-                } else {
-                    ArrivalSpec::Constant
-                };
-                WorkloadSpec {
-                    declared: true,
-                    mode,
-                    payload_bytes,
-                    spread: get_f64(t, "spread", "workload")?.unwrap_or(1.0),
-                    block_bytes: get_u64(t, "block_bytes", "workload")?,
-                    arrival,
-                    phases,
-                }
-            }
-            None => WorkloadSpec::default(),
-        };
-
-        // [[variant]]
-        let variants = match root.get("variant") {
-            None => Vec::new(),
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(|item| {
-                    let t = item.as_table().ok_or_else(|| {
-                        ScenarioError::Schema("[[variant]] entries must be tables".into())
-                    })?;
-                    check_keys(
-                        t,
-                        "[[variant]]",
-                        &[
-                            "label",
-                            "system",
-                            "static_leader",
-                            "scoring",
-                            "period_rounds",
-                            "max_excluded_pct",
-                            "max_excluded_stake",
-                        ],
-                    )?;
-                    let label = get_str(t, "label", "variant")?.ok_or_else(|| {
-                        ScenarioError::Schema("[[variant]] requires a `label`".into())
-                    })?;
-                    let system = match get_str(t, "system", "variant")? {
-                        Some(s) => SystemSpec::parse(&s)?,
-                        None => SystemSpec::Hammerhead,
-                    };
-                    let pct = get_u64(t, "max_excluded_pct", "variant")?;
-                    let stake = get_u64(t, "max_excluded_stake", "variant")?;
-                    if pct.is_some() && stake.is_some() {
-                        return Err(ScenarioError::Schema(
-                            "variant sets both max_excluded_pct and max_excluded_stake".into(),
-                        ));
-                    }
-                    Ok(VariantSpec {
-                        label,
-                        system,
-                        static_leader: get_u64(t, "static_leader", "variant")?.unwrap_or(0) as u16,
-                        scoring: get_str(t, "scoring", "variant")?
-                            .map(|s| parse_scoring(&s))
-                            .transpose()?,
-                        period_rounds: get_u64(t, "period_rounds", "variant")?,
-                        exclusion: pct.map(ExclusionSpec::Pct).or(stake.map(ExclusionSpec::Stake)),
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(other) => {
-                return Err(ScenarioError::Schema(format!(
-                    "`variant` must be an array of tables ([[variant]]), got {other:?}"
-                )))
-            }
-        };
-
-        // [faults]
-        let faults = match get_table(root, "faults")? {
-            Some(t) => {
-                check_keys(
-                    t,
-                    "[faults]",
-                    &[
-                        "crashed",
-                        "crash_last",
-                        "slowdown",
-                        "crash",
-                        "recover",
-                        "partition",
-                        "byzantine",
-                        "chaos",
-                    ],
-                )?;
-                let crashed = get_u64_axis(t, "crashed", "faults")?
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|x| x as u16)
-                    .collect();
-                let crash_last = t.get("crash_last").map(CountExpr::parse).transpose()?;
-
-                let mut slowdowns = Vec::new();
-                for s in get_entry_tables(t, "slowdown", "[[faults.slowdown]]")? {
-                    check_keys(
-                        s,
-                        "[[faults.slowdown]]",
-                        &[
-                            "nodes",
-                            "first",
-                            "at_secs",
-                            "at_frac",
-                            "until_secs",
-                            "until_frac",
-                            "extra_ms",
-                        ],
-                    )?;
-                    let extra_ms = get_u64(s, "extra_ms", "faults.slowdown")?.ok_or_else(|| {
-                        ScenarioError::Schema("[[faults.slowdown]] requires `extra_ms`".into())
-                    })?;
-                    slowdowns.push(SlowdownEntry {
-                        nodes: get_node_sel(s, "[[faults.slowdown]]")?,
-                        at: get_when(s, "at", "[[faults.slowdown]]")?.unwrap_or(WhenSpec::Secs(0)),
-                        until: get_when(s, "until", "[[faults.slowdown]]")?,
-                        extra_ms,
-                    });
-                }
-
-                // [[faults.recover]] first, then the `recover_at_*` sugar
-                // on [[faults.crash]] desugars into the same list.
-                let mut recovers = Vec::new();
-                for r in get_entry_tables(t, "recover", "[[faults.recover]]")? {
-                    check_keys(r, "[[faults.recover]]", &["nodes", "first", "at_secs", "at_frac"])?;
-                    recovers.push(TimedFaultEntry {
-                        nodes: get_node_sel(r, "[[faults.recover]]")?,
-                        at: get_when(r, "at", "[[faults.recover]]")?.ok_or_else(|| {
-                            ScenarioError::Schema(
-                                "[[faults.recover]] requires at_secs or at_frac".into(),
-                            )
-                        })?,
-                    });
-                }
-                let mut crashes = Vec::new();
-                for entry in get_entry_tables(t, "crash", "[[faults.crash]]")? {
-                    check_keys(
-                        entry,
-                        "[[faults.crash]]",
-                        &[
-                            "nodes",
-                            "first",
-                            "at_secs",
-                            "at_frac",
-                            "recover_at_secs",
-                            "recover_at_frac",
-                        ],
-                    )?;
-                    let nodes = get_node_sel(entry, "[[faults.crash]]")?;
-                    if let Some(recover_at) = get_when(entry, "recover_at", "[[faults.crash]]")? {
-                        recovers.push(TimedFaultEntry { nodes: nodes.clone(), at: recover_at });
-                    }
-                    crashes.push(TimedFaultEntry {
-                        nodes,
-                        at: get_when(entry, "at", "[[faults.crash]]")?.unwrap_or(WhenSpec::Secs(0)),
-                    });
-                }
-
-                let mut partitions = Vec::new();
-                for p in get_entry_tables(t, "partition", "[[faults.partition]]")? {
-                    check_keys(
-                        p,
-                        "[[faults.partition]]",
-                        &[
-                            "a",
-                            "b",
-                            "isolate_first",
-                            "from_secs",
-                            "from_frac",
-                            "until_secs",
-                            "until_frac",
-                        ],
-                    )?;
-                    let a = get_id_list(p, "a", "faults.partition")?;
-                    let b = get_id_list(p, "b", "faults.partition")?;
-                    let sel = match (a, b, p.get("isolate_first")) {
-                        (Some(a), Some(b), None) => PartitionSel::Groups { a, b },
-                        (None, None, Some(v)) => PartitionSel::IsolateFirst(CountExpr::parse(v)?),
-                        _ => {
-                            return Err(ScenarioError::Schema(
-                                "[[faults.partition]] needs either both `a` and `b` id lists \
-                                 or `isolate_first` (count)"
-                                    .into(),
-                            ))
-                        }
-                    };
-                    partitions.push(PartitionEntry {
-                        sel,
-                        from: get_when(p, "from", "[[faults.partition]]")?
-                            .unwrap_or(WhenSpec::Secs(0)),
-                        until: get_when(p, "until", "[[faults.partition]]")?.ok_or_else(|| {
-                            ScenarioError::Schema(
-                                "[[faults.partition]] requires until_secs or until_frac".into(),
-                            )
-                        })?,
-                    });
-                }
-
-                let mut byzantine = Vec::new();
-                for b in get_entry_tables(t, "byzantine", "[[faults.byzantine]]")? {
-                    check_keys(
-                        b,
-                        "[[faults.byzantine]]",
-                        &[
-                            "node",
-                            "strategy",
-                            "from_secs",
-                            "from_frac",
-                            "until_secs",
-                            "until_frac",
-                            "targets",
-                            "delay_ms",
-                            "flip_secs",
-                        ],
-                    )?;
-                    let node = get_u64(b, "node", "faults.byzantine")?.ok_or_else(|| {
-                        ScenarioError::Schema("[[faults.byzantine]] requires `node`".into())
-                    })? as u16;
-                    let name = get_str(b, "strategy", "faults.byzantine")?.ok_or_else(|| {
-                        ScenarioError::Schema("[[faults.byzantine]] requires `strategy`".into())
-                    })?;
-                    let targets = get_id_list(b, "targets", "faults.byzantine")?;
-                    let delay_ms = get_u64(b, "delay_ms", "faults.byzantine")?;
-                    let flip_secs = get_u64(b, "flip_secs", "faults.byzantine")?;
-                    let forbid = |key: &str, present: bool| {
-                        if present {
-                            Err(ScenarioError::Schema(format!(
-                                "`{key}` does not apply to the `{name}` strategy"
-                            )))
-                        } else {
-                            Ok(())
-                        }
-                    };
-                    let require = |key: &str| {
-                        ScenarioError::Schema(format!("the `{name}` strategy requires `{key}`"))
-                    };
-                    let strategy = match name.as_str() {
-                        "equivocate" => {
-                            forbid("targets", targets.is_some())?;
-                            forbid("delay_ms", delay_ms.is_some())?;
-                            forbid("flip_secs", flip_secs.is_some())?;
-                            ByzantineStrategySpec::Equivocate
-                        }
-                        "withhold_votes" => {
-                            forbid("delay_ms", delay_ms.is_some())?;
-                            forbid("flip_secs", flip_secs.is_some())?;
-                            ByzantineStrategySpec::WithholdVotes {
-                                targets: targets.ok_or_else(|| require("targets"))?,
-                            }
-                        }
-                        "lazy_leader" => {
-                            forbid("targets", targets.is_some())?;
-                            forbid("flip_secs", flip_secs.is_some())?;
-                            ByzantineStrategySpec::LazyLeader {
-                                delay_ms: delay_ms.ok_or_else(|| require("delay_ms"))?,
-                            }
-                        }
-                        "flip_flop" => {
-                            forbid("targets", targets.is_some())?;
-                            ByzantineStrategySpec::FlipFlop {
-                                flip_secs: flip_secs.ok_or_else(|| require("flip_secs"))?,
-                                delay_ms: delay_ms.ok_or_else(|| require("delay_ms"))?,
-                            }
-                        }
-                        other => {
-                            return Err(ScenarioError::Schema(format!(
-                                "unknown byzantine strategy `{other}` (expected equivocate, \
-                                 withhold_votes, lazy_leader or flip_flop)"
-                            )))
-                        }
-                    };
-                    byzantine.push(ByzantineEntrySpec {
-                        node,
-                        strategy,
-                        from: get_when(b, "from", "[[faults.byzantine]]")?
-                            .unwrap_or(WhenSpec::Secs(0)),
-                        until: get_when(b, "until", "[[faults.byzantine]]")?,
-                    });
-                }
-
-                let mut chaos = Vec::new();
-                for c in get_entry_tables(t, "chaos", "[[faults.chaos]]")? {
-                    check_keys(
-                        c,
-                        "[[faults.chaos]]",
-                        &[
-                            "node",
-                            "from",
-                            "to",
-                            "from_secs",
-                            "from_frac",
-                            "until_secs",
-                            "until_frac",
-                            "drop",
-                            "duplicate",
-                            "corrupt",
-                            "reorder_ms",
-                        ],
-                    )?;
-                    let node = get_u64(c, "node", "faults.chaos")?.map(|x| x as u16);
-                    let link_from = get_u64(c, "from", "faults.chaos")?.map(|x| x as u16);
-                    let link_to = get_u64(c, "to", "faults.chaos")?.map(|x| x as u16);
-                    let link = match (node, link_from, link_to) {
-                        (_, None, None) => None,
-                        (None, Some(a), Some(b)) => Some((a, b)),
-                        _ => {
-                            return Err(ScenarioError::Schema(
-                                "[[faults.chaos]] afflicts all links by default; narrow it \
-                                 with either `node` or the directed pair `from` + `to`, \
-                                 not a mix"
-                                    .into(),
-                            ))
-                        }
-                    };
-                    chaos.push(ChaosWindowSpec {
-                        node,
-                        link,
-                        from: get_when(c, "from", "[[faults.chaos]]")?.unwrap_or(WhenSpec::Secs(0)),
-                        until: get_when(c, "until", "[[faults.chaos]]")?,
-                        drop: get_f64(c, "drop", "faults.chaos")?.unwrap_or(0.0),
-                        duplicate: get_f64(c, "duplicate", "faults.chaos")?.unwrap_or(0.0),
-                        corrupt: get_f64(c, "corrupt", "faults.chaos")?.unwrap_or(0.0),
-                        reorder_ms: get_u64(c, "reorder_ms", "faults.chaos")?.unwrap_or(0),
-                    });
-                }
-
-                FaultsSpec {
-                    crashed,
-                    crash_last,
-                    slowdowns,
-                    crashes,
-                    recovers,
-                    partitions,
-                    byzantine,
-                    chaos,
-                }
-            }
-            None => FaultsSpec::default(),
-        };
-
-        // [analysis]
-        let analysis = match get_table(root, "analysis")? {
-            Some(t) => {
-                check_keys(
-                    t,
-                    "[analysis]",
-                    &[
-                        "skipped_rounds",
-                        "schedule_churn",
-                        "reinclusion",
-                        "adversary",
-                        "chaos",
-                        "window",
-                    ],
-                )?;
-                let windows = match t.get("window") {
-                    None => Vec::new(),
-                    Some(Value::Array(items)) => items
-                        .iter()
-                        .map(|item| {
-                            let w = item.as_table().ok_or_else(|| {
-                                ScenarioError::Schema(
-                                    "[[analysis.window]] entries must be tables".into(),
-                                )
-                            })?;
-                            check_keys(
-                                w,
-                                "[[analysis.window]]",
-                                &["name", "from_frac", "to_frac"],
-                            )?;
-                            Ok(WindowSpec {
-                                name: get_str(w, "name", "analysis.window")?.ok_or_else(|| {
-                                    ScenarioError::Schema(
-                                        "[[analysis.window]] requires `name`".into(),
-                                    )
-                                })?,
-                                from_frac: get_f64(w, "from_frac", "analysis.window")?
-                                    .unwrap_or(0.0),
-                                to_frac: get_f64(w, "to_frac", "analysis.window")?.unwrap_or(1.0),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, ScenarioError>>()?,
-                    Some(other) => {
-                        return Err(ScenarioError::Schema(format!(
-                            "`analysis.window` must be an array of tables, got {other:?}"
-                        )))
-                    }
-                };
-                AnalysisSpec {
-                    windows,
-                    skipped_rounds: get_bool(t, "skipped_rounds", "analysis")?.unwrap_or(false),
-                    schedule_churn: get_bool(t, "schedule_churn", "analysis")?.unwrap_or(false),
-                    reinclusion: get_bool(t, "reinclusion", "analysis")?.unwrap_or(false),
-                    adversary: get_bool(t, "adversary", "analysis")?.unwrap_or(false),
-                    chaos: get_bool(t, "chaos", "analysis")?.unwrap_or(false),
-                }
-            }
-            None => AnalysisSpec::default(),
-        };
-
-        // [quick]
-        let quick = match get_table(root, "quick")? {
-            Some(t) => {
-                check_keys(
-                    t,
-                    "[quick]",
-                    &["sizes", "tps", "duration_secs", "seeds", "period_rounds"],
-                )?;
-                QuickSpec {
-                    sizes: get_u64_axis(t, "sizes", "quick")?
-                        .map(|xs| xs.into_iter().map(|x| x as usize).collect()),
-                    tps: get_u64_axis(t, "tps", "quick")?,
-                    duration_secs: get_u64_axis(t, "duration_secs", "quick")?,
-                    seeds: get_u64_axis(t, "seeds", "quick")?,
-                    period_rounds: get_u64_axis(t, "period_rounds", "quick")?,
-                }
-            }
-            None => QuickSpec::default(),
-        };
-
-        let spec = ScenarioSpec {
-            name,
-            description,
-            figure,
-            committee_sizes,
-            load_tps,
-            duration_secs,
-            warmup_secs,
-            seeds,
-            gst_secs,
-            client_window_secs,
-            network,
-            systems,
-            period_rounds,
-            exclusion,
-            scoring,
-            schedule_seed,
-            swap_from_base,
-            workload,
-            variants,
-            faults,
-            analysis,
-            quick,
-        };
+    pub fn from_value(root: &Value) -> Result<Self, ScenarioError> {
+        let spec: Self = schema::read(root, "the scenario root")?;
         spec.validate()?;
         Ok(spec)
     }
@@ -1696,8 +1466,11 @@ impl ScenarioSpec {
                 )));
             }
         }
-        if self.client_window_secs <= 0.0 {
-            return Err(ScenarioError::Invalid("client_window_secs must be positive".into()));
+        if !(self.client_window_secs > 0.0 && self.client_window_secs.is_finite()) {
+            return Err(ScenarioError::Invalid(format!(
+                "client_window_secs must be positive and finite, got {}",
+                self.client_window_secs
+            )));
         }
         let mut labels: Vec<&str> = self.variants.iter().map(|v| v.label.as_str()).collect();
         labels.sort_unstable();
@@ -1786,6 +1559,12 @@ impl ScenarioSpec {
     /// mirroring the fault-schedule grammar).
     fn validate_workload(&self) -> Result<(), ScenarioError> {
         let w = &self.workload;
+        if w.payload_bytes > MAX_PAYLOAD_BYTES {
+            return Err(ScenarioError::Invalid(format!(
+                "workload payload_bytes {} exceeds the {MAX_PAYLOAD_BYTES}-byte cap",
+                w.payload_bytes
+            )));
+        }
         if w.spread < 1.0 || !w.spread.is_finite() {
             return Err(ScenarioError::Invalid(format!(
                 "workload spread must be ≥ 1, got {}",
@@ -1899,448 +1678,10 @@ impl ScenarioSpec {
         }
         Ok(())
     }
-
     /// Serializes the spec back to a TOML value (the canonical form used
     /// by round-trip tests and `hh-cli validate --dump`).
     pub fn to_value(&self) -> Value {
-        let mut root = BTreeMap::new();
-        root.insert("name".into(), Value::Str(self.name.clone()));
-        if !self.description.is_empty() {
-            root.insert("description".into(), Value::Str(self.description.clone()));
-        }
-        if let Some(figure) = &self.figure {
-            root.insert("figure".into(), Value::Str(figure.clone()));
-        }
-
-        let mut committee = BTreeMap::new();
-        committee.insert(
-            "sizes".into(),
-            axis_u64_value(&self.committee_sizes.iter().map(|n| *n as u64).collect::<Vec<_>>()),
-        );
-        root.insert("committee".into(), Value::Table(committee));
-
-        let mut load = BTreeMap::new();
-        load.insert("tps".into(), axis_u64_value(&self.load_tps));
-        root.insert("load".into(), Value::Table(load));
-
-        let mut run = BTreeMap::new();
-        run.insert("duration_secs".into(), axis_u64_value(&self.duration_secs));
-        if let Some(w) = self.warmup_secs {
-            run.insert("warmup_secs".into(), Value::Int(w as i64));
-        }
-        run.insert("seeds".into(), axis_u64_value(&self.seeds));
-        if self.gst_secs != 0 {
-            run.insert("gst_secs".into(), Value::Int(self.gst_secs as i64));
-        }
-        if self.client_window_secs != 2.0 {
-            run.insert("client_window_secs".into(), Value::Float(self.client_window_secs));
-        }
-        root.insert("run".into(), Value::Table(run));
-
-        let mut network = BTreeMap::new();
-        match self.network {
-            NetworkSpec::Geo => {
-                network.insert("model".into(), Value::Str("geo".into()));
-            }
-            NetworkSpec::Flat { ms } => {
-                network.insert("model".into(), Value::Str("flat".into()));
-                network.insert("flat_ms".into(), Value::Int(ms as i64));
-            }
-        }
-        root.insert("network".into(), Value::Table(network));
-
-        let mut systems = BTreeMap::new();
-        systems.insert(
-            "run".into(),
-            Value::Array(self.systems.iter().map(|s| Value::Str(s.label().to_string())).collect()),
-        );
-        root.insert("systems".into(), Value::Table(systems));
-
-        let mut hammerhead = BTreeMap::new();
-        hammerhead.insert("period_rounds".into(), axis_u64_value(&self.period_rounds));
-        match self.exclusion.as_slice() {
-            [ExclusionSpec::F] => {}
-            xs if xs.iter().all(|x| matches!(x, ExclusionSpec::Pct(_))) => {
-                let pcts: Vec<u64> = xs
-                    .iter()
-                    .map(|x| match x {
-                        ExclusionSpec::Pct(p) => *p,
-                        _ => unreachable!("checked by the guard"),
-                    })
-                    .collect();
-                hammerhead.insert("max_excluded_pct".into(), axis_u64_value(&pcts));
-            }
-            xs => {
-                let stakes: Vec<u64> = xs
-                    .iter()
-                    .map(|x| match x {
-                        ExclusionSpec::Stake(s) => *s,
-                        other => panic!("mixed exclusion axis {other:?}"),
-                    })
-                    .collect();
-                hammerhead.insert("max_excluded_stake".into(), axis_u64_value(&stakes));
-            }
-        }
-        if self.scoring != vec![ScoringRule::VoteBased] {
-            hammerhead.insert(
-                "scoring".into(),
-                Value::Array(self.scoring.iter().map(|s| Value::Str(scoring_name(*s))).collect()),
-            );
-        }
-        if self.schedule_seed != 0 {
-            hammerhead.insert("schedule_seed".into(), Value::Int(self.schedule_seed as i64));
-        }
-        if self.swap_from_base {
-            hammerhead.insert("swap_from_base".into(), Value::Bool(true));
-        }
-        root.insert("hammerhead".into(), Value::Table(hammerhead));
-
-        if self.workload.declared {
-            fn insert_arrival(t: &mut BTreeMap<String, Value>, arrival: &ArrivalSpec) {
-                match *arrival {
-                    ArrivalSpec::Constant => {}
-                    ArrivalSpec::Poisson => {
-                        t.insert("arrival".into(), Value::Str("poisson".into()));
-                    }
-                    ArrivalSpec::OnOff { burst_secs, idle_secs } => {
-                        t.insert("arrival".into(), Value::Str("onoff".into()));
-                        t.insert("burst_secs".into(), Value::Float(burst_secs));
-                        t.insert("idle_secs".into(), Value::Float(idle_secs));
-                    }
-                    ArrivalSpec::Ramp { from_scale, to_scale } => {
-                        t.insert("arrival".into(), Value::Str("ramp".into()));
-                        if from_scale != 0.0 {
-                            t.insert("ramp_from_scale".into(), Value::Float(from_scale));
-                        }
-                        t.insert("ramp_to_scale".into(), Value::Float(to_scale));
-                    }
-                }
-            }
-            let w = &self.workload;
-            let mut workload = BTreeMap::new();
-            workload.insert(
-                "mode".into(),
-                Value::Str(
-                    match w.mode {
-                        SubmissionMode::Closed => "closed",
-                        SubmissionMode::Open => "open",
-                    }
-                    .into(),
-                ),
-            );
-            if w.payload_bytes != 0 {
-                workload.insert("payload_bytes".into(), Value::Int(w.payload_bytes as i64));
-            }
-            if w.spread != 1.0 {
-                workload.insert("spread".into(), Value::Float(w.spread));
-            }
-            if let Some(block_bytes) = w.block_bytes {
-                workload.insert("block_bytes".into(), Value::Int(block_bytes as i64));
-            }
-            if w.phases.is_empty() {
-                insert_arrival(&mut workload, &w.arrival);
-            } else {
-                let items = w
-                    .phases
-                    .iter()
-                    .map(|p| {
-                        let mut t = BTreeMap::new();
-                        insert_when(&mut t, "from", p.from, true);
-                        if !matches!(p.arrival, ArrivalSpec::Ramp { .. }) {
-                            match p.rate {
-                                // Scale 1.0 is the parse-side default.
-                                RateSpec::Scale(s) => {
-                                    if s != 1.0 {
-                                        t.insert("scale".into(), Value::Float(s));
-                                    }
-                                }
-                                RateSpec::Tps(tps) => {
-                                    t.insert("tps".into(), Value::Int(tps as i64));
-                                }
-                            }
-                        }
-                        insert_arrival(&mut t, &p.arrival);
-                        Value::Table(t)
-                    })
-                    .collect();
-                workload.insert("phase".into(), Value::Array(items));
-            }
-            root.insert("workload".into(), Value::Table(workload));
-        }
-
-        if !self.variants.is_empty() {
-            let items = self
-                .variants
-                .iter()
-                .map(|v| {
-                    let mut t = BTreeMap::new();
-                    t.insert("label".into(), Value::Str(v.label.clone()));
-                    t.insert("system".into(), Value::Str(v.system.label().to_string()));
-                    if v.system == SystemSpec::StaticLeader {
-                        t.insert("static_leader".into(), Value::Int(v.static_leader as i64));
-                    }
-                    if let Some(s) = v.scoring {
-                        t.insert("scoring".into(), Value::Str(scoring_name(s)));
-                    }
-                    if let Some(p) = v.period_rounds {
-                        t.insert("period_rounds".into(), Value::Int(p as i64));
-                    }
-                    match v.exclusion {
-                        Some(ExclusionSpec::Pct(p)) => {
-                            t.insert("max_excluded_pct".into(), Value::Int(p as i64));
-                        }
-                        Some(ExclusionSpec::Stake(s)) => {
-                            t.insert("max_excluded_stake".into(), Value::Int(s as i64));
-                        }
-                        Some(ExclusionSpec::F) | None => {}
-                    }
-                    Value::Table(t)
-                })
-                .collect();
-            root.insert("variant".into(), Value::Array(items));
-        }
-
-        let mut faults = BTreeMap::new();
-        if !self.faults.crashed.is_empty() {
-            faults.insert(
-                "crashed".into(),
-                Value::Array(self.faults.crashed.iter().map(|i| Value::Int(*i as i64)).collect()),
-            );
-        }
-        if let Some(c) = self.faults.crash_last {
-            faults.insert("crash_last".into(), c.to_value());
-        }
-        fn insert_node_sel(t: &mut BTreeMap<String, Value>, sel: &NodeSel) {
-            match sel {
-                NodeSel::Ids(ids) => {
-                    t.insert(
-                        "nodes".into(),
-                        Value::Array(ids.iter().map(|i| Value::Int(*i as i64)).collect()),
-                    );
-                }
-                NodeSel::First(c) => {
-                    t.insert("first".into(), c.to_value());
-                }
-            }
-        }
-        /// `omit_zero` drops `Secs(0)` — the parse-side default for event
-        /// starts — keeping canonical files minimal.
-        fn insert_when(
-            t: &mut BTreeMap<String, Value>,
-            prefix: &str,
-            when: WhenSpec,
-            omit_zero: bool,
-        ) {
-            match when {
-                WhenSpec::Secs(0) if omit_zero => {}
-                WhenSpec::Secs(secs) => {
-                    t.insert(format!("{prefix}_secs"), Value::Int(secs as i64));
-                }
-                WhenSpec::Frac(frac) => {
-                    t.insert(format!("{prefix}_frac"), Value::Float(frac));
-                }
-            }
-        }
-        if !self.faults.slowdowns.is_empty() {
-            let items = self
-                .faults
-                .slowdowns
-                .iter()
-                .map(|s| {
-                    let mut t = BTreeMap::new();
-                    insert_node_sel(&mut t, &s.nodes);
-                    insert_when(&mut t, "at", s.at, true);
-                    if let Some(until) = s.until {
-                        insert_when(&mut t, "until", until, false);
-                    }
-                    t.insert("extra_ms".into(), Value::Int(s.extra_ms as i64));
-                    Value::Table(t)
-                })
-                .collect();
-            faults.insert("slowdown".into(), Value::Array(items));
-        }
-        let timed_items = |entries: &[TimedFaultEntry]| -> Value {
-            Value::Array(
-                entries
-                    .iter()
-                    .map(|entry| {
-                        let mut t = BTreeMap::new();
-                        insert_node_sel(&mut t, &entry.nodes);
-                        insert_when(&mut t, "at", entry.at, false);
-                        Value::Table(t)
-                    })
-                    .collect(),
-            )
-        };
-        if !self.faults.crashes.is_empty() {
-            faults.insert("crash".into(), timed_items(&self.faults.crashes));
-        }
-        if !self.faults.recovers.is_empty() {
-            faults.insert("recover".into(), timed_items(&self.faults.recovers));
-        }
-        if !self.faults.partitions.is_empty() {
-            let items = self
-                .faults
-                .partitions
-                .iter()
-                .map(|p| {
-                    let mut t = BTreeMap::new();
-                    match &p.sel {
-                        PartitionSel::Groups { a, b } => {
-                            let ids = |xs: &[u16]| {
-                                Value::Array(xs.iter().map(|i| Value::Int(*i as i64)).collect())
-                            };
-                            t.insert("a".into(), ids(a));
-                            t.insert("b".into(), ids(b));
-                        }
-                        PartitionSel::IsolateFirst(c) => {
-                            t.insert("isolate_first".into(), c.to_value());
-                        }
-                    }
-                    insert_when(&mut t, "from", p.from, true);
-                    insert_when(&mut t, "until", p.until, false);
-                    Value::Table(t)
-                })
-                .collect();
-            faults.insert("partition".into(), Value::Array(items));
-        }
-        if !self.faults.byzantine.is_empty() {
-            let items = self
-                .faults
-                .byzantine
-                .iter()
-                .map(|b| {
-                    let mut t = BTreeMap::new();
-                    t.insert("node".into(), Value::Int(b.node as i64));
-                    let name = match &b.strategy {
-                        ByzantineStrategySpec::Equivocate => "equivocate",
-                        ByzantineStrategySpec::WithholdVotes { targets } => {
-                            t.insert(
-                                "targets".into(),
-                                Value::Array(
-                                    targets.iter().map(|i| Value::Int(*i as i64)).collect(),
-                                ),
-                            );
-                            "withhold_votes"
-                        }
-                        ByzantineStrategySpec::LazyLeader { delay_ms } => {
-                            t.insert("delay_ms".into(), Value::Int(*delay_ms as i64));
-                            "lazy_leader"
-                        }
-                        ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => {
-                            t.insert("delay_ms".into(), Value::Int(*delay_ms as i64));
-                            t.insert("flip_secs".into(), Value::Int(*flip_secs as i64));
-                            "flip_flop"
-                        }
-                    };
-                    t.insert("strategy".into(), Value::Str(name.into()));
-                    insert_when(&mut t, "from", b.from, true);
-                    if let Some(until) = b.until {
-                        insert_when(&mut t, "until", until, false);
-                    }
-                    Value::Table(t)
-                })
-                .collect();
-            faults.insert("byzantine".into(), Value::Array(items));
-        }
-        if !self.faults.chaos.is_empty() {
-            let items = self
-                .faults
-                .chaos
-                .iter()
-                .map(|c| {
-                    let mut t = BTreeMap::new();
-                    if let Some(node) = c.node {
-                        t.insert("node".into(), Value::Int(node as i64));
-                    }
-                    if let Some((from, to)) = c.link {
-                        t.insert("from".into(), Value::Int(from as i64));
-                        t.insert("to".into(), Value::Int(to as i64));
-                    }
-                    insert_when(&mut t, "from", c.from, true);
-                    if let Some(until) = c.until {
-                        insert_when(&mut t, "until", until, false);
-                    }
-                    if c.drop != 0.0 {
-                        t.insert("drop".into(), Value::Float(c.drop));
-                    }
-                    if c.duplicate != 0.0 {
-                        t.insert("duplicate".into(), Value::Float(c.duplicate));
-                    }
-                    if c.corrupt != 0.0 {
-                        t.insert("corrupt".into(), Value::Float(c.corrupt));
-                    }
-                    if c.reorder_ms != 0 {
-                        t.insert("reorder_ms".into(), Value::Int(c.reorder_ms as i64));
-                    }
-                    Value::Table(t)
-                })
-                .collect();
-            faults.insert("chaos".into(), Value::Array(items));
-        }
-        if !faults.is_empty() {
-            root.insert("faults".into(), Value::Table(faults));
-        }
-
-        let mut analysis = BTreeMap::new();
-        if self.analysis.skipped_rounds {
-            analysis.insert("skipped_rounds".into(), Value::Bool(true));
-        }
-        if self.analysis.schedule_churn {
-            analysis.insert("schedule_churn".into(), Value::Bool(true));
-        }
-        if self.analysis.reinclusion {
-            analysis.insert("reinclusion".into(), Value::Bool(true));
-        }
-        if self.analysis.adversary {
-            analysis.insert("adversary".into(), Value::Bool(true));
-        }
-        if self.analysis.chaos {
-            analysis.insert("chaos".into(), Value::Bool(true));
-        }
-        if !self.analysis.windows.is_empty() {
-            let items = self
-                .analysis
-                .windows
-                .iter()
-                .map(|w| {
-                    let mut t = BTreeMap::new();
-                    t.insert("name".into(), Value::Str(w.name.clone()));
-                    t.insert("from_frac".into(), Value::Float(w.from_frac));
-                    t.insert("to_frac".into(), Value::Float(w.to_frac));
-                    Value::Table(t)
-                })
-                .collect();
-            analysis.insert("window".into(), Value::Array(items));
-        }
-        if !analysis.is_empty() {
-            root.insert("analysis".into(), Value::Table(analysis));
-        }
-
-        let mut quick = BTreeMap::new();
-        if let Some(xs) = &self.quick.sizes {
-            quick.insert(
-                "sizes".into(),
-                axis_u64_value(&xs.iter().map(|n| *n as u64).collect::<Vec<_>>()),
-            );
-        }
-        if let Some(xs) = &self.quick.tps {
-            quick.insert("tps".into(), axis_u64_value(xs));
-        }
-        if let Some(xs) = &self.quick.duration_secs {
-            quick.insert("duration_secs".into(), axis_u64_value(xs));
-        }
-        if let Some(xs) = &self.quick.seeds {
-            quick.insert("seeds".into(), axis_u64_value(xs));
-        }
-        if let Some(xs) = &self.quick.period_rounds {
-            quick.insert("period_rounds".into(), axis_u64_value(xs));
-        }
-        if !quick.is_empty() {
-            root.insert("quick".into(), Value::Table(quick));
-        }
-
-        Value::Table(root)
+        schema::write(self)
     }
 
     /// Serializes to canonical TOML text.
@@ -3500,5 +2841,57 @@ ramp_to_scale = 2.0
         assert_eq!(plan.runs[0].config.seed, 77);
         // Warmup follows the overridden duration.
         assert_eq!(plan.runs[0].config.warmup_secs, 1);
+    }
+
+    #[test]
+    fn validator_ids_beyond_u16_are_rejected_not_wrapped() {
+        // Each id used to be cast with `as u16`: 65539 crashed validator 3,
+        // 65537 pinned leader 1.
+        for doc in [
+            "[faults]\ncrashed = [65536]\n",
+            "[[faults.crash]]\nnodes = [65539]\nat_secs = 5\n",
+            "[[faults.slowdown]]\nnodes = [70000]\nextra_ms = 50\n",
+            "[[faults.partition]]\na = [0]\nb = [65537]\nuntil_secs = 5\n",
+            "[[faults.byzantine]]\nnode = 65536\nstrategy = \"equivocate\"\n",
+            "[[faults.byzantine]]\nnode = 0\nstrategy = \"withhold_votes\"\ntargets = [65537]\n",
+            "[[faults.chaos]]\nnode = 65536\ndrop = 0.1\n",
+            "[[faults.chaos]]\nfrom = 0\nto = 65537\ndrop = 0.1\n",
+            "[[variant]]\nlabel = \"s\"\nsystem = \"static-leader\"\nstatic_leader = 65537\n",
+            "[faults]\ncrashed = [-1]\n",
+        ] {
+            let err = ScenarioSpec::parse(&format!("name = \"x\"\n{doc}")).unwrap_err();
+            assert!(matches!(err, ScenarioError::Schema(_)), "doc {doc:?} gave {err}");
+            assert!(err.to_string().contains("must be a validator id"), "doc {doc:?} gave {err}");
+        }
+    }
+
+    #[test]
+    fn non_finite_client_window_is_rejected() {
+        // `1e999` parses as infinity; NaN arrives through `--set`.
+        let err =
+            ScenarioSpec::parse("name = \"x\"\n[run]\nclient_window_secs = 1e999\n").unwrap_err();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("client_window_secs"), "{err}");
+        let mut root = toml::parse("name = \"x\"\n[run]\nclient_window_secs = 1.0\n").unwrap();
+        if let Value::Table(t) = &mut root {
+            if let Some(Value::Table(run)) = t.get_mut("run") {
+                run.insert("client_window_secs".into(), Value::Float(f64::NAN));
+            }
+        }
+        let err = ScenarioSpec::from_value(&root).unwrap_err();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+    }
+
+    #[test]
+    fn unknown_key_errors_name_the_key_and_its_table() {
+        for (doc, needle) in [
+            ("typo = 1\n", "unknown key `typo` in the scenario root"),
+            ("[run]\nduration = 5\n", "unknown key `duration` in [run]"),
+            ("[[faults.crash]]\nnodes = [1]\nat = 3\n", "unknown key `at` in [[faults.crash]]"),
+            ("[[workload.phase]]\nrate = 2\n", "unknown key `rate` in [[workload.phase]]"),
+        ] {
+            let err = ScenarioSpec::parse(&format!("name = \"x\"\n{doc}")).unwrap_err();
+            assert!(err.to_string().contains(needle), "doc {doc:?} gave {err}");
+        }
     }
 }

@@ -1,21 +1,26 @@
-//! Tests over the checked-in `scenarios/*.toml` files: every file must
-//! parse, expand, survive a serialize/parse round trip, and the fig2
-//! scenario must build exactly the configuration the legacy hard-coded
-//! `fig2_faults` binary used.
+//! Tests over the checked-in `scenarios/*.toml` files and the benchmark's
+//! `perfbench/workloads/*.toml` inputs: every file must parse, expand and
+//! survive a serialize/parse round trip, and the fig2 scenario must build
+//! exactly the configuration the legacy hard-coded `fig2_faults` binary
+//! used.
 
 use hh_net::FaultPlan;
 use hh_scenario::{load_scenario, repo_scenarios_dir, PlanOptions, ScenarioSpec};
 use hh_sim::{run_experiment, ExperimentConfig, SystemKind};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-fn checked_in_scenarios() -> Vec<PathBuf> {
-    let dir = repo_scenarios_dir();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+fn toml_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "toml"))
         .collect();
     files.sort();
+    files
+}
+
+fn checked_in_scenarios() -> Vec<PathBuf> {
+    let files = toml_files(&repo_scenarios_dir());
     assert_eq!(
         files.len(),
         13,
@@ -23,6 +28,31 @@ fn checked_in_scenarios() -> Vec<PathBuf> {
          byzantine and chaos, found {files:?}"
     );
     files
+}
+
+/// The benchmark's workload files, read where they are checked in.
+fn benchmark_workloads() -> Vec<PathBuf> {
+    let files = toml_files(&repo_scenarios_dir().join("../perfbench/workloads"));
+    assert_eq!(files.len(), 2, "expected fig2-n100 and open-n10-recover, found {files:?}");
+    files
+}
+
+/// A schema change that breaks the benchmark's inputs fails here, not
+/// only when the benchmark runs.
+#[test]
+fn benchmark_workloads_parse_plan_and_round_trip() {
+    for path in benchmark_workloads() {
+        let spec = load_scenario(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let plan = spec
+            .plan(&PlanOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(plan.runs.len(), 1, "{} is one run", path.display());
+        let canonical = spec.to_toml();
+        let again = ScenarioSpec::parse(&canonical).unwrap_or_else(|e| {
+            panic!("{} canonical form does not re-parse: {e}\n{canonical}", path.display())
+        });
+        assert_eq!(spec, again, "{} round trip changed the spec", path.display());
+    }
 }
 
 #[test]
